@@ -10,14 +10,12 @@
 #include <functional>
 #include <vector>
 
-#include "apps/registry.hpp"
 #include "cluster/cluster.hpp"
 #include "fault/fault.hpp"
 #include "ib/ib_fabric.hpp"
 #include "model/node_hw.hpp"
 #include "mpi/comm.hpp"
 #include "sim/engine.hpp"
-#include "sim/pdes/pdes.hpp"
 #include "sim/sync.hpp"
 #include "sweep/sweep_runner.hpp"
 
@@ -332,217 +330,6 @@ static void BM_SweepRunner(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 12);
 }
 BENCHMARK(BM_SweepRunner)->Arg(1)->Arg(4)->UseRealTime()
-    ->Unit(benchmark::kMillisecond);
-
-// ---------------------------------------------------------------------------
-// In-run parallelism (src/sim/pdes): one simulation partitioned across
-// worker threads with conservative lookahead. Arg is the partition count;
-// Arg(1) is the same workload on the inline sequential path, so the
-// 1-vs-4 ratio is the wall-clock speedup the partitioned core buys and
-// the Arg(1) row tracks its overhead. Results are digest-checked
-// against the sequential run — the speedup is only admissible because
-// the output bytes are identical.
-
-namespace {
-inline std::uint64_t pdes_mix(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
-}  // namespace
-
-// 64-node wavefront sweep: the Sweep3D dependency pattern of Fig. 17 /
-// Table 2, at the paper's 8x8 scale. Cell (i,j) computes when its west
-// and north halves arrive, then feeds east and south; 48 pipelined waves
-// keep every anti-diagonal busy, so at steady state all 64 cells (16 per
-// partition at Arg(4)) have work each hop.
-static void BM_PdesSweep3D64(benchmark::State& state) {
-  const int parts = static_cast<int>(state.range(0));
-  constexpr int kGrid = 8;
-  constexpr int kWaves = 48;
-  constexpr int kSpin = 1600;  // per-cell compute, ~the event cost of a
-                               // skeleton-mode Sweep3D cell update
-  constexpr std::int64_t kHopPs = 1000;
-  std::uint64_t sink = 0;
-  for (auto _ : state) {
-    const auto topo = sim::pdes::Topology::blocks(
-        kGrid * kGrid, parts, sim::Time::ps(kHopPs));
-    auto cnt = std::make_shared<std::vector<int>>(kGrid * kGrid, 0);
-    auto acc = std::make_shared<std::vector<std::uint64_t>>(kGrid * kGrid, 1);
-    const auto build = [&](sim::pdes::Context& ctx) {
-      sim::pdes::Context* cp = &ctx;
-      const auto fire = [cnt, acc](sim::pdes::Context& c, int n,
-                                   std::uint64_t w) {
-        auto& a = (*acc)[static_cast<std::size_t>(n)];
-        std::uint64_t v = a ^ w;
-        for (int s = 0; s < kSpin; ++s) v = pdes_mix(v);
-        a = v;
-        const int i = n / kGrid, j = n % kGrid;
-        if (j + 1 < kGrid) {
-          c.send(n, n + 1, c.now() + sim::Time::ps(kHopPs), v);
-        }
-        if (i + 1 < kGrid) {
-          c.send(n, n + kGrid, c.now() + sim::Time::ps(kHopPs), v);
-        }
-        if (n == kGrid * kGrid - 1) c.emit(n, v);  // wave completion
-      };
-      for (int n : ctx.nodes()) {
-        const int i = n / kGrid, j = n % kGrid;
-        const int expected = (i > 0 ? 1 : 0) + (j > 0 ? 1 : 0);
-        ctx.on_message(n, [cnt, fire, expected](sim::pdes::Context& c,
-                                                int node, std::uint64_t w) {
-          auto& k = (*cnt)[static_cast<std::size_t>(node)];
-          if (++k < expected) return;
-          k = 0;
-          fire(c, node, w);
-        });
-        if (n == 0) {
-          for (int wave = 0; wave < kWaves; ++wave) {
-            ctx.engine().at(sim::Time::ps((wave + 1) * kHopPs),
-                            sim::EventFn::make([cp, fire, wave] {
-                              fire(*cp, 0,
-                                   static_cast<std::uint64_t>(wave));
-                            }));
-          }
-        }
-      }
-    };
-    const auto r = sim::pdes::run(topo, build);
-    sink ^= r.digest();
-  }
-  benchmark::DoNotOptimize(sink);
-  state.SetItemsProcessed(state.iterations() * kWaves * kGrid * kGrid);
-}
-BENCHMARK(BM_PdesSweep3D64)->Arg(1)->Arg(2)->Arg(4)->UseRealTime()
-    ->Unit(benchmark::kMillisecond);
-
-// 64-node torus halo exchange: the neighbor-exchange phase of the
-// Table 2 CG/MG class-B runs. Every step each node swaps halos with its
-// four torus neighbors and computes when all four arrive — lockstep
-// epochs, the friendliest and the most synchronization-heavy shape for
-// a conservative core.
-static void BM_PdesHalo64(benchmark::State& state) {
-  const int parts = static_cast<int>(state.range(0));
-  constexpr int kGrid = 8;
-  constexpr int kSteps = 64;
-  constexpr int kSpin = 1600;
-  constexpr std::int64_t kHopPs = 1000;
-  std::uint64_t sink = 0;
-  for (auto _ : state) {
-    const auto topo = sim::pdes::Topology::blocks(
-        kGrid * kGrid, parts, sim::Time::ps(kHopPs));
-    auto cnt = std::make_shared<std::vector<int>>(kGrid * kGrid, 0);
-    auto step = std::make_shared<std::vector<int>>(kGrid * kGrid, 0);
-    auto acc = std::make_shared<std::vector<std::uint64_t>>(kGrid * kGrid, 1);
-    const auto build = [&](sim::pdes::Context& ctx) {
-      sim::pdes::Context* cp = &ctx;
-      const auto exchange = [](sim::pdes::Context& c, int n,
-                               std::uint64_t v) {
-        const int i = n / kGrid, j = n % kGrid;
-        const int east = i * kGrid + (j + 1) % kGrid;
-        const int west = i * kGrid + (j + kGrid - 1) % kGrid;
-        const int south = ((i + 1) % kGrid) * kGrid + j;
-        const int north = ((i + kGrid - 1) % kGrid) * kGrid + j;
-        const sim::Time when = c.now() + sim::Time::ps(kHopPs);
-        c.send(n, east, when, v);
-        c.send(n, west, when, v);
-        c.send(n, south, when, v);
-        c.send(n, north, when, v);
-      };
-      for (int n : ctx.nodes()) {
-        ctx.on_message(n, [cnt, step, acc, exchange](
-                              sim::pdes::Context& c, int node,
-                              std::uint64_t w) {
-          auto& a = (*acc)[static_cast<std::size_t>(node)];
-          a ^= w;
-          auto& k = (*cnt)[static_cast<std::size_t>(node)];
-          if (++k < 4) return;
-          k = 0;
-          std::uint64_t v = a;
-          for (int s = 0; s < kSpin; ++s) v = pdes_mix(v);
-          a = v;
-          auto& st = (*step)[static_cast<std::size_t>(node)];
-          if (++st < kSteps) {
-            exchange(c, node, v);
-          } else {
-            c.emit(node, v);  // final field value, digest-checked
-          }
-        });
-        ctx.engine().at(sim::Time::ps(kHopPs),
-                        sim::EventFn::make([cp, exchange, n] {
-                          exchange(*cp, n, static_cast<std::uint64_t>(n));
-                        }));
-      }
-    };
-    const auto r = sim::pdes::run(topo, build);
-    sink ^= r.digest();
-  }
-  benchmark::DoNotOptimize(sink);
-  state.SetItemsProcessed(state.iterations() * kSteps * kGrid * kGrid);
-}
-BENCHMARK(BM_PdesHalo64)->Arg(1)->Arg(2)->Arg(4)->UseRealTime()
-    ->Unit(benchmark::kMillisecond);
-
-// -- partitioned cluster workloads -----------------------------------------
-//
-// The synthetic PDES benches above measure the executor in isolation; these
-// run the REAL cluster fabric (split-flow netfabric, NIC/bus pipes, MPI
-// procs) on the partitioned executor — the workload `--partitions=N` exists
-// for. Arg is the partition count; the result must be bit-identical across
-// args (digest-checked below), so any real-time delta between Arg(1) and
-// Arg(4) is pure executor scaling. On a one-core host the parallel args
-// measure overhead, not speedup — read the JSON on a multi-core box.
-
-static std::uint64_t run_cluster_app(const char* name, int partitions) {
-  cluster::ClusterConfig cfg{.nodes = 64,
-                             .ppn = 1,
-                             .net = cluster::Net::kInfiniBand,
-                             .partitions = partitions};
-  cluster::Cluster c(cfg);
-  const auto& spec = apps::find_app(name);
-  apps::AppResult r0;
-  c.run([&](mpi::Comm& comm) -> sim::Task<void> {
-    auto r = co_await spec.run_full(comm, apps::Mode::kSkeleton);
-    if (comm.rank() == 0) r0 = r;
-  });
-  std::uint64_t bits = 0;
-  std::memcpy(&bits, &r0.app_seconds, sizeof(bits));
-  return bits ^ static_cast<std::uint64_t>(c.now().count_ps());
-}
-
-// Sweep3D input 50 on 64 nodes over InfiniBand: wavefront dependences,
-// the paper's Fig. 17 workload at Table 2 scale.
-static void BM_ClusterSweep3D64(benchmark::State& state) {
-  const int parts = static_cast<int>(state.range(0));
-  static const std::uint64_t want = run_cluster_app("s3d50", 1);
-  std::uint64_t sink = 0;
-  for (auto _ : state) {
-    const std::uint64_t got = run_cluster_app("s3d50", parts);
-    if (got != want) state.SkipWithError("partition digest mismatch");
-    sink ^= got;
-  }
-  benchmark::DoNotOptimize(sink);
-  state.SetItemsProcessed(state.iterations());  // app runs per second
-}
-BENCHMARK(BM_ClusterSweep3D64)->Arg(1)->Arg(2)->Arg(4)->UseRealTime()
-    ->Unit(benchmark::kMillisecond);
-
-// NAS CG class B on 64 ranks: the irregular sparse-matvec exchange from
-// the paper's Fig. 16, heavier on concurrent point-to-point traffic.
-static void BM_ClusterCg64(benchmark::State& state) {
-  const int parts = static_cast<int>(state.range(0));
-  static const std::uint64_t want = run_cluster_app("cg", 1);
-  std::uint64_t sink = 0;
-  for (auto _ : state) {
-    const std::uint64_t got = run_cluster_app("cg", parts);
-    if (got != want) state.SkipWithError("partition digest mismatch");
-    sink ^= got;
-  }
-  benchmark::DoNotOptimize(sink);
-  state.SetItemsProcessed(state.iterations());  // app runs per second
-}
-BENCHMARK(BM_ClusterCg64)->Arg(1)->Arg(2)->Arg(4)->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
 int main(int argc, char** argv) {

@@ -29,9 +29,8 @@ class AuditReport {
     std::string component;
     std::string message;
   };
-  /// Informational line recorded by a check (never a failure) — e.g. the
-  /// per-partition executor counters, so a skewed partition plan is
-  /// visible in the audit output without failing the run.
+  /// Informational line recorded by a check (never a failure): context
+  /// that belongs in the audit output without failing the run.
   struct Note {
     std::string component;
     std::string message;

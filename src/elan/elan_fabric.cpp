@@ -58,9 +58,8 @@ ElanConfig default_elan_config(std::size_t nodes) {
 }
 
 ElanFabric::ElanFabric(sim::Engine& eng, std::vector<model::NodeHw*> nodes,
-                       const ElanConfig& cfg,
-                       const model::FabricPartitioning* parts)
-    : NetFabric(eng, std::move(nodes), cfg.switch_cfg, cfg.nic, parts),
+                       const ElanConfig& cfg)
+    : NetFabric(eng, std::move(nodes), cfg.switch_cfg, cfg.nic),
       cfg_(cfg) {
   set_recovery(cfg_.recovery);
   mmu_.reserve(node_count());

@@ -52,8 +52,7 @@ ElanConfig default_elan_config(std::size_t nodes);
 class ElanFabric final : public model::NetFabric {
  public:
   ElanFabric(sim::Engine& eng, std::vector<model::NodeHw*> nodes,
-             const ElanConfig& cfg,
-             const model::FabricPartitioning* parts = nullptr);
+             const ElanConfig& cfg);
 
   std::uint64_t memory_bytes(int node) const;
 

@@ -58,19 +58,15 @@ GmConfig default_gm_config(std::size_t nodes) {
 }
 
 GmFabric::GmFabric(sim::Engine& eng, std::vector<model::NodeHw*> nodes,
-                   const GmConfig& cfg,
-                   const model::FabricPartitioning* parts)
-    : NetFabric(eng, std::move(nodes), cfg.switch_cfg, cfg.nic, parts),
+                   const GmConfig& cfg)
+    : NetFabric(eng, std::move(nodes), cfg.switch_cfg, cfg.nic),
       cfg_(cfg) {
   set_recovery(cfg_.recovery);
   regcache_.reserve(node_count());
   sram_.reserve(node_count());
   for (std::size_t i = 0; i < node_count(); ++i) {
     regcache_.emplace_back(cfg_.regcache);
-    // Staging is per node: src-side staging runs on the sender's
-    // partition, dst-side on the receiver's (split-flow rx half).
-    sram_.push_back(std::make_unique<model::Pipe>(
-        node_engine(static_cast<int>(i)), cfg_.sram_rate));
+    sram_.push_back(std::make_unique<model::Pipe>(eng, cfg_.sram_rate));
   }
 }
 

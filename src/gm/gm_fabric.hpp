@@ -44,8 +44,7 @@ GmConfig default_gm_config(std::size_t nodes);
 class GmFabric final : public model::NetFabric {
  public:
   GmFabric(sim::Engine& eng, std::vector<model::NodeHw*> nodes,
-           const GmConfig& cfg,
-           const model::FabricPartitioning* parts = nullptr);
+           const GmConfig& cfg);
 
   std::uint64_t memory_bytes(int node) const;
 

@@ -54,9 +54,8 @@ IbConfig default_ib_config(std::size_t nodes) {
 }
 
 IbFabric::IbFabric(sim::Engine& eng, std::vector<model::NodeHw*> nodes,
-                   const IbConfig& cfg,
-                   const model::FabricPartitioning* parts)
-    : NetFabric(eng, std::move(nodes), cfg.switch_cfg, cfg.nic, parts),
+                   const IbConfig& cfg)
+    : NetFabric(eng, std::move(nodes), cfg.switch_cfg, cfg.nic),
       cfg_(cfg) {
   set_recovery(cfg_.recovery);
   regcache_.reserve(node_count());

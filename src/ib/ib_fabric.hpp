@@ -51,8 +51,7 @@ IbConfig default_ib_config(std::size_t nodes);
 class IbFabric final : public model::NetFabric {
  public:
   IbFabric(sim::Engine& eng, std::vector<model::NodeHw*> nodes,
-           const IbConfig& cfg,
-           const model::FabricPartitioning* parts = nullptr);
+           const IbConfig& cfg);
 
   /// MPI-visible memory footprint on `node` (paper Fig. 13): eager
   /// all-to-all RC connections by default; with on-demand connections
@@ -72,9 +71,7 @@ class IbFabric final : public model::NetFabric {
   /// Fail-stop degradation counters: RC QPs moved to the error state and
   /// torn down after retry exhaustion on a dead link/NIC, and the
   /// re-establishment attempts priced (and failed) against the dead peer.
-  /// Both are views over the base fabric's per-shard degradation state
-  /// (a simulation is single-threaded per partition by contract, so no
-  /// shared mutable counter exists to race on).
+  /// Both are views over the base fabric's dead-link registry.
   std::uint64_t qp_teardowns() const { return links_failed(); }
   std::uint64_t reconnect_attempts() const { return degrade_rounds(); }
 
@@ -92,8 +89,7 @@ class IbFabric final : public model::NetFabric {
   /// RC degradation: retry exhaustion puts the QP in the error state. The
   /// teardown is modeled in counters + time only — `connected_` is left
   /// alone because it records which QPs were ever established (the
-  /// Fig. 13 footprint survives a dead peer) and both endpoints'
-  /// partitions write it, so mutating it here would race under PDES.
+  /// Fig. 13 footprint survives a dead peer).
   /// On-demand re-establishment against the dead peer: each degraded
   /// message pays a connection-setup attempt with capped doubling backoff
   /// before the failure surfaces.

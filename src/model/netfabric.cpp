@@ -8,114 +8,9 @@
 #include <utility>
 
 #include "audit/report.hpp"
-#include "sim/pdes/fabric_exec.hpp"
 #include "util/annotations.hpp"
 
 namespace mns::model {
-
-// ---------------------------------------------------------------------------
-// Split-flow wire protocol (cross-partition flows under PDES execution).
-//
-// A flow whose src and dst live in different partitions is split at the
-// switch entry: the tx half (host-bus fetch, NIC injection, source
-// staging, the recovery machine) runs on the source partition; the rx
-// half (switch port, destination staging, rx pipe, host bus, delivery)
-// runs on the destination partition. The halves talk exclusively through
-// timestamped FabricExecutor messages:
-//
-//   OPEN   src->dst  flow descriptor (boxed), sent at packet 0's launch
-//                    with when = packet 0's NIC-tx completion; sorts
-//                    before the first ENTER via its lower send index.
-//   ENTER  src->dst  one packet crossing into the switch. when = the
-//                    exact instant the sequential machine would reserve
-//                    the switch port: the NIC-tx completion (sent at
-//                    launch, slack >= tx wire latency), or the source
-//                    staging completion for staged fabrics (sent at the
-//                    kTx event, because staging is shared with this
-//                    node's receive side; slack >= the packet's staging
-//                    serialization, which floors the lookahead).
-//                    Dropped packets still send a flagged ENTER — they
-//                    never enter the switch, but the receiver's
-//                    Go-Back-N sequence check needs to see the gap.
-//   LOSS   dst->src  a packet the receiver discarded (CRC failure or
-//                    Go-Back-N rejection). when = the exact rx-pipe
-//                    completion instant the sequential machine detects
-//                    the loss at, sent one stage early (at the rx
-//                    reservation), which is what gives it >= rx_fixed of
-//                    lookahead slack.
-//   LAND   dst->src  a packet that reached the destination host bus.
-//                    when = the host-bus DMA completion, sent at the
-//                    reservation (slack >= the bus's per-DMA setup).
-//   CLOSE  src->dst  recovery gave up (retry budget exhausted); tears
-//                    down the rx half one lookahead in the future.
-//   CALL   any->any  boxed closure for NetFabric::run_on_node.
-//
-// Word packing: a = kind | packet << 8 | attempt << 16 | flags;
-// b = flow key (src node << 48 | per-source sequence number, never 0).
-//
-// Equivalence argument (each piece is asserted by the partition-
-// invariance chaos suite): every message's `when` equals the sequential
-// event instant of the stage it stands in for, and the executor delivers
-// merged batches in (when, src node, send idx) order, which matches the
-// sequential engine's same-instant order for same-source events (send
-// order) and for the symmetric cross-source ties that structured
-// workloads produce (ascending node, inherited from rank spawn order).
-// Fault verdicts move from tx completion to launch, passing the explicit
-// tx-completion timestamp — per-link draw order is preserved because the
-// tx pipe is FIFO (launch order == tx-completion order) and a given
-// (src, dst) pair is always consistently split or consistently local.
-// Receiver-side fates (CRC discard, Go-Back-N gap) are decided at the rx
-// reservation, one stage before the sequential machine applies them —
-// legal because both inputs (the corrupt flag and the lost-set prefix)
-// are stable by reservation time: drop gaps arrive with their flagged
-// ENTER before any later packet's switch entry, and FIFO pipes decide
-// earlier packets' discards at earlier reservations.
-// ---------------------------------------------------------------------------
-
-namespace {
-
-enum WireKind : std::uint64_t {
-  kWireOpen = 1,
-  kWireEnter,
-  kWireLoss,
-  kWireLand,
-  kWireClose,
-  kWireCall,
-};
-constexpr std::uint64_t kWireFlagDropped = std::uint64_t{1} << 32;
-constexpr std::uint64_t kWireFlagCorrupt = std::uint64_t{1} << 33;
-
-std::uint64_t wire_word(WireKind kind, std::uint64_t packet, int attempt) {
-  return kind | (packet << 8) | (static_cast<std::uint64_t>(attempt) << 16);
-}
-std::uint64_t wire_packet(std::uint64_t a) { return (a >> 8) & 0xffu; }
-int wire_attempt(std::uint64_t a) {
-  return static_cast<int>((a >> 16) & 0xffffu);
-}
-
-/// Base of every boxed WireMsg payload; the executor's box deleter
-/// destroys through this on abort paths.
-struct WireBox {
-  virtual ~WireBox() = default;
-};
-
-/// OPEN payload: everything the destination partition needs to build the
-/// rx half. The NetMsg keeps src/dst/bytes/addresses and the
-/// receiver-side callback (remote_arrival); the sender-side closures
-/// (local_complete, on_failed) stay with the tx half and are nulled here.
-struct OpenBox final : WireBox {
-  NetMsg msg;
-  std::uint64_t chunk = 0;
-  std::uint64_t packets = 0;
-  bool faulted = false;
-};
-
-/// CALL payload (run_on_node).
-struct CallBox final : WireBox {
-  std::function<void()> fn;  // simlint-allow: model-alloc (error path only)
-};
-
-}  // namespace
 
 // ---------------------------------------------------------------------------
 // MsgFlow: the pooled per-message packet state machine.
@@ -145,16 +40,7 @@ struct NetFabric::MsgFlow final : Pipe::ClaimOwner {
   std::uint64_t chunk = 0;
   std::uint64_t packets = 0;
 
-  // Partition placement (split-flow protocol; see the file comment).
-  sim::Engine* eng = nullptr;  // engine owning this half's events
-  Shard* shard = nullptr;      // shard owning this half's pool + counters
-  bool in_use = false;         // acquired from the slab, not on the free list
-  bool boundary = false;       // tx half of a cross-partition flow
-  bool rx_half = false;        // rx half, living on the dst partition
-  std::uint64_t flow_key = 0;  // never 0 for split halves
-  std::uint64_t drop_mask = 0;   // tx half: launch-drawn drop verdicts
-  std::uint64_t rx_discard = 0;  // rx half: fates decided at reservation
-  std::uint32_t wire_unresolved = 0;  // tx half: packets awaiting LOSS/LAND
+  bool in_use = false;  // acquired from the slab, not on the free list
 
   // Packet-machine counters (mirroring the former MsgState).
   std::uint64_t packets_left_tx = 0;
@@ -264,47 +150,11 @@ struct NetFabric::MsgFlow final : Pipe::ClaimOwner {
 };
 
 NetFabric::NetFabric(sim::Engine& eng, std::vector<NodeHw*> nodes,
-                     const SwitchConfig& sw, const NicConfig& nic,
-                     const FabricPartitioning* parts)
+                     const SwitchConfig& sw, const NicConfig& nic)
     : eng_(&eng), nodes_(std::move(nodes)), nic_(nic) {
   const std::size_t n = nodes_.size();
-  if (parts != nullptr && parts->engines.size() > 1) {
-    if (parts->part_of.size() != n) {
-      throw std::invalid_argument(
-          "FabricPartitioning: part_of does not cover every node");
-    }
-    part_of_ = parts->part_of;
-    partitions_ = static_cast<int>(parts->engines.size());
-    node_eng_.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      node_eng_.push_back(
-          parts->engines[static_cast<std::size_t>(part_of_[i])]);
-    }
-  } else {
-    part_of_.assign(n, 0);
-    partitions_ = 1;
-    node_eng_.assign(n, eng_);
-  }
-  shards_.reserve(static_cast<std::size_t>(partitions_));
-  for (int p = 0; p < partitions_; ++p) {
-    shards_.push_back(std::make_unique<Shard>());
-  }
-  flow_seq_.assign(n, 0);
-
   if (sw.fat_tree_radix > 0 && sw.fat_tree_radix < n) {
-    // The fat tree's shared uplink/spine pipes have no single owning
-    // node, so partitioned plans demote to sequential before reaching
-    // this constructor (Cluster's demotion rules).
-    if (partitions_ > 1) {
-      throw std::invalid_argument(
-          "fat-tree topology cannot run partitioned: shared uplink/spine "
-          "pipes have no owning partition (demote to --partitions=1)");
-    }
     topo_ = std::make_unique<FatTree>(eng, sw, n, sw.fat_tree_radix);
-  } else if (partitions_ > 1) {
-    // Crossbar output port i is only ever reserved by traffic to node i,
-    // so each port pipe lives on its node's owning engine.
-    topo_ = std::make_unique<SingleCrossbar>(eng, node_eng_, sw);
   } else {
     topo_ = std::make_unique<SingleCrossbar>(eng, sw);
   }
@@ -312,77 +162,38 @@ NetFabric::NetFabric(sim::Engine& eng, std::vector<NodeHw*> nodes,
   rx_.reserve(n);
   sendq_.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
-    sim::Engine& ne = *node_eng_[i];
     tx_.push_back(
-        std::make_unique<Pipe>(ne, nic_.tx_rate, nic_.tx_wire_latency));
-    rx_.push_back(std::make_unique<Pipe>(ne, nic_.rx_rate, nic_.rx_fixed));
+        std::make_unique<Pipe>(eng, nic_.tx_rate, nic_.tx_wire_latency));
+    rx_.push_back(std::make_unique<Pipe>(eng, nic_.rx_rate, nic_.rx_fixed));
     // Rate is irrelevant for the protocol processor: it only serializes
     // per-message occupancies.
-    nic_proc_.push_back(std::make_unique<Pipe>(ne, 1e12));
-    sendq_.push_back(std::make_unique<sim::Mailbox<NetMsg>>(ne));
+    nic_proc_.push_back(std::make_unique<Pipe>(eng, 1e12));
+    sendq_.push_back(std::make_unique<sim::Mailbox<NetMsg>>(eng));
   }
   for (std::size_t i = 0; i < n; ++i) {
-    node_eng_[i]->spawn(sender_loop(static_cast<int>(i)), /*daemon=*/true);
+    eng.spawn(sender_loop(static_cast<int>(i)), /*daemon=*/true);
   }
 }
 
 NetFabric::~NetFabric() = default;
-
-NetFabric::Shard& NetFabric::shard_of(const MsgFlow& f) { return *f.shard; }
-
-void NetFabric::bind_executor(sim::pdes::FabricExecutor& exec) {
-  if (partitions_ <= 1) {
-    throw std::logic_error("bind_executor on a sequential fabric");
-  }
-  if (exec_ != nullptr) throw std::logic_error("executor already bound");
-  exec_ = &exec;
-  exec.set_box_deleter([](void* b) { delete static_cast<WireBox*>(b); });
-  for (std::size_t i = 0; i < nodes_.size(); ++i) {
-    const int node = static_cast<int>(i);
-    exec.set_handler(node, [this, node](const sim::pdes::WireMsg& m) {
-      wire_handle(node, m);
-    });
-  }
-}
 
 void NetFabric::run_on_node(int src_node, int dst_node,
                             // simlint-allow: model-alloc (error path only)
                             std::function<void()> fn) {
   if (fail_stop_armed_ && src_node != dst_node &&
       error_notify_delay_ > sim::Time::zero()) {
-    // Uniform cross-node error-notification latency (see the header):
-    // charge the same wire delay whether or not the nodes share a
-    // partition, so degraded runs are bit-identical across partition
-    // counts. Same-node calls stay inline — nothing crosses a wire.
-    const sim::Time when =
-        node_engine(src_node).now() + error_notify_delay_;
-    if (is_boundary(src_node, dst_node)) {
-      auto box = std::make_unique<CallBox>();  // simlint-allow: model-alloc
-      box->fn = std::move(fn);
-      exec_->send(src_node, dst_node, when, wire_word(kWireCall, 0, 0), 0, 0,
-                  box.release());
-    } else {
-      node_engine(dst_node).at(when, sim::EventFn::make(std::move(fn)));
-    }
+    // Cross-node error notification under a fail-stop plan: it crosses
+    // the wire, so it lands error_notify_delay() later (see the header).
+    // Same-node calls stay inline — nothing crosses a wire.
+    eng_->at(eng_->now() + error_notify_delay_,
+             sim::EventFn::make(std::move(fn)));
     return;
   }
-  if (!is_boundary(src_node, dst_node)) {
-    fn();
-    return;
-  }
-  // Cross-partition: a timestamped CALL one lookahead in the future (the
-  // +lookahead shift is the price of crossing the boundary; callers on
-  // this path are error-teardown flows whose timing the chaos suite
-  // already treats as fabric-internal).
-  auto box = std::make_unique<CallBox>();  // simlint-allow: model-alloc
-  box->fn = std::move(fn);
-  exec_->send(src_node, dst_node,
-              node_engine(src_node).now() + exec_->topology().lookahead,
-              wire_word(kWireCall, 0, 0), 0, 0, box.release());
+  fn();
 }
 
 void NetFabric::post(NetMsg msg) {
-  ++shard_of_node(msg.src).posted;
+  ++posted_;
   on_posted(msg);
   sendq_[static_cast<std::size_t>(msg.src)]->send(std::move(msg));
 }
@@ -400,69 +211,51 @@ sim::Time NetFabric::degrade_delay(const NetMsg&, int) const {
   return sim::Time::zero();
 }
 
-void NetFabric::learn_link_dead(Shard& sh, int src, int dst) {
+void NetFabric::learn_link_dead(int src, int dst) {
   // The registry was pre-sized by set_fault_plan (fail-stop plans only),
-  // so this path never allocates. Only the shard that owns `src` ever
-  // touches row `src`, so partitions never share rows and the registry
-  // stays deterministic across partition counts.
+  // so this path never allocates.
   const std::size_t li = link_index(src, dst);
-  if (sh.dead[li] != 0) return;  // already attributed by an earlier flow
-  sh.dead[li] = 1;
+  if (dead_[li] != 0) return;  // already attributed by an earlier flow
+  dead_[li] = 1;
   on_link_failed(src, dst);
 }
 
 // MNS_HOT: degraded-path terminator — counter bumps and callbacks only,
 // no allocation, no flow slab traffic.
 MNS_HOT void NetFabric::abort_degraded(NetMsg msg) {
-  ++shard_of_node(msg.src).aborted;
+  ++aborted_;
   on_aborted(msg);
   if (msg.on_failed) msg.on_failed();
 }
 
 bool NetFabric::link_known_dead(int src, int dst) const {
-  const Shard& sh = const_cast<NetFabric*>(this)->shard_of_node(src);
-  if (sh.dead.empty()) return false;
-  return sh.dead[link_index(src, dst)] != 0;
+  return !dead_.empty() && dead_[link_index(src, dst)] != 0;
 }
 
 std::uint64_t NetFabric::links_failed() const {
   std::uint64_t n = 0;
-  for (const auto& shp : shards_) {
-    for (const std::uint8_t b : shp->dead) n += b;
-  }
+  for (const std::uint8_t b : dead_) n += b;
   return n;
 }
 
 std::uint64_t NetFabric::degrade_rounds() const {
   std::uint64_t n = 0;
-  for (const auto& shp : shards_) {
-    for (const std::uint32_t r : shp->degrade_round) n += r;
-  }
+  for (const std::uint32_t r : degrade_round_) n += r;
   return n;
 }
 
 std::string NetFabric::progress_report() const {
   // Watchdog diagnostic: enough state to see *where* forward progress
-  // stopped — per-shard message counters, flows still holding slab
-  // entries (with their stage bits), and send-queue depths.
+  // stopped — message counters, flows still holding slab entries (with
+  // their stage bits), and send-queue depths.
   std::string r = "netfabric progress report\n";
-  std::uint64_t posted = 0, delivered = 0, errored = 0, aborted = 0;
-  for (const auto& shp : shards_) {
-    posted += shp->posted;
-    delivered += shp->delivered;
-    errored += shp->errored;
-    aborted += shp->aborted;
-  }
-  r += "  posted=" + std::to_string(posted) +
-       " delivered=" + std::to_string(delivered) +
-       " errored=" + std::to_string(errored) +
-       " aborted=" + std::to_string(aborted) + "\n";
-  for (std::size_t si = 0; si < shards_.size(); ++si) {
-    const Shard& sh = *shards_[si];
-    if (sh.flows_active == 0) continue;
-    r += "  shard " + std::to_string(si) + ": flows_active=" +
-         std::to_string(sh.flows_active) + "\n";
-    for (const auto& fp : sh.slab) {
+  r += "  posted=" + std::to_string(posted_) +
+       " delivered=" + std::to_string(delivered_) +
+       " errored=" + std::to_string(errored_) +
+       " aborted=" + std::to_string(aborted_) + "\n";
+  if (flows_active_ > 0) {
+    r += "  flows_active=" + std::to_string(flows_active_) + "\n";
+    for (const auto& fp : slab_) {
       const MsgFlow& f = *fp;
       // Every acquired flow is a flow that has not terminated — exactly
       // the set the watchdog wants on record (a flow mid-RTO-handler has
@@ -474,8 +267,7 @@ std::string NetFabric::progress_report() const {
            std::to_string(f.msg.bytes) + " attempts=" +
            std::to_string(f.attempts) + " pending=" +
            std::to_string(f.pending) + (f.rto_armed ? " rto" : "") +
-           (f.fetching ? " fetching" : "") +
-           (f.wire_unresolved > 0 ? " wire" : "") + "\n";
+           (f.fetching ? " fetching" : "") + "\n";
     }
   }
   return r;
@@ -489,36 +281,31 @@ NetFabric::ChunkPlan NetFabric::chunk_plan(std::uint64_t bytes,
 
 // MNS_HOT: slab push_back is pool warm-up only — a released flow goes on
 // the free list and steady state never allocates.
-MNS_HOT NetFabric::MsgFlow* NetFabric::acquire_flow(Shard& sh) {
-  ++sh.flows_active;
-  if (sh.free_list != nullptr) {
-    MsgFlow* f = sh.free_list;
-    sh.free_list = f->next_free;
+MNS_HOT NetFabric::MsgFlow* NetFabric::acquire_flow() {
+  ++flows_active_;
+  if (free_list_ != nullptr) {
+    MsgFlow* f = free_list_;
+    free_list_ = f->next_free;
     f->next_free = nullptr;
     f->in_use = true;
     return f;
   }
-  sh.slab.push_back(std::make_unique<MsgFlow>(*this));
-  sh.slab.back()->in_use = true;
-  return sh.slab.back().get();
+  slab_.push_back(std::make_unique<MsgFlow>(*this));
+  slab_.back()->in_use = true;
+  return slab_.back().get();
 }
 
 void NetFabric::release_flow(MsgFlow& f) {
-  Shard& sh = *f.shard;
-  MNS_AUDIT(sh.flows_active > 0, "flow released with none active");
+  MNS_AUDIT(flows_active_ > 0, "flow released with none active");
   MNS_AUDIT(f.pending == 0 && !f.rto_armed,
             "flow released with packet events or a retransmit timer live");
-  MNS_AUDIT(f.wire_unresolved == 0,
-            "flow released with packets still unresolved on the wire");
-  --sh.flows_active;
+  --flows_active_;
   f.in_use = false;
-  if (f.flow_key != 0) sh.wire_flows.erase(f.flow_key);
-  f.flow_key = 0;
   f.msg = NetMsg{};  // drop per-message closures eagerly
   f.claims.clear();
   f.sender = {};
-  f.next_free = sh.free_list;
-  sh.free_list = &f;
+  f.next_free = free_list_;
+  free_list_ = &f;
 }
 
 void NetFabric::maybe_release(MsgFlow& f) {
@@ -554,21 +341,6 @@ void NetFabric::init_flow(MsgFlow& f, NetMsg msg) {
 
   const int src = f.msg.src;
   const int dst = f.msg.dst;
-  f.eng = node_eng_[static_cast<std::size_t>(src)];
-  f.shard = &shard_of_node(src);
-  f.rx_half = false;
-  f.boundary = is_boundary(src, dst);
-  f.drop_mask = 0;
-  f.rx_discard = 0;
-  f.wire_unresolved = 0;
-  if (f.boundary) {
-    // Key = src << 48 | per-source sequence (pre-incremented: never 0).
-    f.flow_key = (static_cast<std::uint64_t>(src) << 48) |
-                 ++flow_seq_[static_cast<std::size_t>(src)];
-    f.shard->wire_flows.emplace(f.flow_key, &f);
-  } else {
-    f.flow_key = 0;
-  }
   f.faulted = injector_ != nullptr && injector_->link_armed(src, dst);
   f.src_bus = &nodes_[static_cast<std::size_t>(src)]->bus().pipe();
   f.tx = tx_[static_cast<std::size_t>(src)].get();
@@ -609,16 +381,6 @@ bool NetFabric::can_express(const MsgFlow& f) {
   // Loopback skips the switch and may hit the same pipes twice in one
   // chain; not worth proving exclusivity for.
   if (f.msg.src == f.msg.dst) return false;
-  // A boundary flow's claim window would span pipes owned by another
-  // partition: exclusivity is not provable from one partition's view
-  // (and even reading the remote pipes' claim state here would race).
-  // The demotion-replay contract makes the express path timing-invisible,
-  // so refusing it up front costs nothing but the fast path. Counted so
-  // the finalize report can surface a partition plan that cuts hot links.
-  if (f.boundary) {
-    ++f.shard->boundary_demotions;
-    return false;
-  }
   // The fabric's rx-side stall must be computable at launch.
   if (!express_rx_ok(f.msg)) return false;
   for (const auto& rec : f.claims) {
@@ -630,7 +392,7 @@ bool NetFabric::can_express(const MsgFlow& f) {
 sim::Task<void> NetFabric::sender_loop(int node_id) {
   auto& queue = *sendq_[static_cast<std::size_t>(node_id)];
   auto& bus = nodes_[static_cast<std::size_t>(node_id)]->bus();
-  sim::Engine& eng = *node_eng_[static_cast<std::size_t>(node_id)];
+  sim::Engine& eng = *eng_;
   for (;;) {
     NetMsg msg = co_await queue.receive();
     if (fail_stop_armed_) {
@@ -642,10 +404,9 @@ sim::Task<void> NetFabric::sender_loop(int node_id) {
       // `aborted` — delivered-or-errored holds for every flow, and the
       // sender NIC is freed for healthy traffic instead of burning its
       // protocol processor on a dead peer.
-      Shard& sh = shard_of_node(node_id);
       const std::size_t li = link_index(msg.src, msg.dst);
-      if (!sh.dead.empty() && sh.dead[li] != 0) {
-        const std::uint32_t round = ++sh.degrade_round[li];
+      if (!dead_.empty() && dead_[li] != 0) {
+        const std::uint32_t round = ++degrade_round_[li];
         const sim::Time d = degrade_delay(msg, static_cast<int>(round));
         if (d > sim::Time::zero()) co_await eng.delay(d);
         abort_degraded(std::move(msg));
@@ -665,7 +426,7 @@ sim::Task<void> NetFabric::sender_loop(int node_id) {
       co_await tx_pipe(node_id).occupy(stall);
     }
 
-    MsgFlow* flow = acquire_flow(shard_of_node(node_id));
+    MsgFlow* flow = acquire_flow();
     init_flow(*flow, std::move(msg));
     if (can_express(*flow) && express_launch(*flow)) {
       // The express replay owns the fetch chain; park until the last
@@ -705,13 +466,11 @@ void NetFabric::flow_step(MsgFlow& f, std::uintptr_t w) {
 
   auto sched = [&](std::uint8_t k, std::uint64_t pp, sim::Time t) {
     if (k <= MsgFlow::kBus) ++f.pending;
-    f.eng->at(t, sim::EventFn(&MsgFlow::thunk, &f, MsgFlow::word(k, pp)));
+    eng_->at(t, sim::EventFn(&MsgFlow::thunk, &f, MsgFlow::word(k, pp)));
   };
 
   // Stage chaining shared by several completion events below; each helper
-  // performs the next reservation and schedules its completion event. An
-  // rx half routes its rx reservations through rx_half_reserve_rx, which
-  // additionally decides the packet's fate and reports losses.
+  // performs the next reservation and schedules its completion event.
   auto enter_rx = [&] {
     if (f.first_packet) {
       f.first_packet = false;
@@ -723,20 +482,10 @@ void NetFabric::flow_step(MsgFlow& f, std::uintptr_t w) {
       } else {
         // Stall + first-packet data as one atomic reservation, so packets
         // of other messages cannot be reordered into the gap.
-        const sim::Time done = f.rx->reserve_after(stall, pkt);
-        if (f.rx_half) {
-          rx_half_reserve_rx(f, p, done);
-        } else {
-          sched(MsgFlow::kRx, p, done);
-        }
+        sched(MsgFlow::kRx, p, f.rx->reserve_after(stall, pkt));
       }
     } else {
-      const sim::Time done = f.rx->reserve(pkt);
-      if (f.rx_half) {
-        rx_half_reserve_rx(f, p, done);
-      } else {
-        sched(MsgFlow::kRx, p, done);
-      }
+      sched(MsgFlow::kRx, p, f.rx->reserve(pkt));
     }
   };
   auto enter_dst = [&] {
@@ -757,9 +506,7 @@ void NetFabric::flow_step(MsgFlow& f, std::uintptr_t w) {
   switch (kind) {
     case MsgFlow::kFetch: {
       // Post-demotion closed loop: launch this packet, fetch the next.
-      // f.eng, not eng_: under partitioned execution the flow's engine is
-      // the clock this event fired on; the construction engine may lag.
-      sched(MsgFlow::kLaunch, p, f.eng->now());
+      sched(MsgFlow::kLaunch, p, eng_->now());
       if (p + 1 < f.packets) {
         sched(MsgFlow::kFetch, p + 1, f.src_bus->reserve(f.pkt_bytes(p + 1)));
       } else {
@@ -770,15 +517,9 @@ void NetFabric::flow_step(MsgFlow& f, std::uintptr_t w) {
       }
       break;
     }
-    case MsgFlow::kLaunch: {
-      const sim::Time t_tx = f.tx->reserve(pkt);
-      sched(MsgFlow::kTx, p, t_tx);
-      // Boundary flows draw their fault verdict and announce the switch
-      // entry here, where the tx completion instant is already known
-      // (the wire message needs lookahead slack the kTx event lacks).
-      if (f.boundary) launch_boundary_packet(f, p, t_tx);
+    case MsgFlow::kLaunch:
+      sched(MsgFlow::kTx, p, f.tx->reserve(pkt));
       break;
-    }
     case MsgFlow::kTx:
       if (--f.packets_left_tx == 0) {
         // Last byte has left the sender NIC: eager sends complete here.
@@ -790,49 +531,20 @@ void NetFabric::flow_step(MsgFlow& f, std::uintptr_t w) {
           f.msg.local_complete();
         }
       }
-      if (f.boundary) {
-        // Tx half of a split flow: the verdict was drawn at launch.
-        if (f.drop_mask & (std::uint64_t{1} << p)) {
-          f.drop_mask &= ~(std::uint64_t{1} << p);
-          // Vanishes at the sender NIC, at exactly the sequential
-          // machine's drop instant; the flagged ENTER already told the
-          // receiver about the gap.
-          lose_packet(f, p);
-          break;
-        }
-        if (f.stage_src != nullptr) {
-          // Deferred ENTER (see launch_boundary_packet): reserve source
-          // staging here — where the shared send/receive queue is final
-          // up to t_tx and the sequential machine's own reserve sits —
-          // and announce the staging completion as the switch entry.
-          const std::uint64_t bit = std::uint64_t{1} << p;
-          std::uint64_t flags = 0;
-          if (f.corrupt_mask & bit) {
-            flags = kWireFlagCorrupt;
-            f.corrupt_mask &= ~bit;  // flag travels on the wire
-          }
-          ++f.wire_unresolved;
-          exec_->send(f.msg.src, f.msg.dst, f.stage_src->reserve(pkt),
-                      wire_word(kWireEnter, p, f.attempts) | flags,
-                      f.flow_key);
-        }
-        break;  // the rx half takes over at the switch entry
-                // (the ENTER left at launch or just above)
-      }
       if (f.faulted) {
         // The packet has consumed injection bandwidth; now the fault plan
         // decides its fate on the wire.
         const fault::Verdict v =
-            injector_->packet_verdict(f.msg.src, f.msg.dst, f.eng->now());
+            injector_->packet_verdict(f.msg.src, f.msg.dst, eng_->now());
         if (v == fault::Verdict::kDrop) {
-          ++f.shard->faults_drop;
+          ++faults_drop_;
           lose_packet(f, p);
           break;  // vanishes at the sender NIC: nothing enters the switch
         }
         if (v == fault::Verdict::kCorrupt) {
           // Corrupt packets travel the full path (burning switch and rx
           // bandwidth) and fail their CRC at the receiver (kRx below).
-          ++f.shard->faults_corrupt;
+          ++faults_corrupt_;
           f.corrupt_mask |= std::uint64_t{1} << p;
         }
       }
@@ -860,32 +572,10 @@ void NetFabric::flow_step(MsgFlow& f, std::uintptr_t w) {
     case MsgFlow::kDstStage:
       enter_rx();
       break;
-    case MsgFlow::kRxProc: {
-      const sim::Time done = f.rx->reserve(pkt);
-      if (f.rx_half) {
-        rx_half_reserve_rx(f, p, done);
-      } else {
-        sched(MsgFlow::kRx, p, done);
-      }
+    case MsgFlow::kRxProc:
+      sched(MsgFlow::kRx, p, f.rx->reserve(pkt));
       break;
-    }
     case MsgFlow::kRx:
-      if (f.rx_half) {
-        // Fate was decided (and any loss reported) at the reservation;
-        // this event applies it at the sequential detection instant.
-        if (f.rx_discard & (std::uint64_t{1} << p)) {
-          f.rx_discard &= ~(std::uint64_t{1} << p);
-          f.corrupt_mask &= ~(std::uint64_t{1} << p);
-          break;  // discarded; recovery runs on the tx half
-        }
-        // Survivor: report the landing with its host-bus completion
-        // instant (the per-DMA setup is the lookahead slack).
-        const sim::Time done = f.dst_bus->reserve(pkt);
-        exec_->send(f.msg.dst, f.msg.src, done,
-                    wire_word(kWireLand, p, f.attempts), f.flow_key);
-        sched(MsgFlow::kBus, p, done);
-        break;
-      }
       if (f.faulted) {
         if (f.corrupt_mask & (std::uint64_t{1} << p)) {
           // CRC failure detected at the receiver NIC: discard.
@@ -899,7 +589,7 @@ void NetFabric::flow_step(MsgFlow& f, std::uintptr_t w) {
           // the firmware's sequence check rejects this one — only the
           // cumulative prefix is ever acknowledged. The sender will
           // resend the whole window from the gap.
-          ++f.shard->gbn_discards;
+          ++gbn_discards_;
           lose_packet(f, p);
           break;
         }
@@ -907,18 +597,12 @@ void NetFabric::flow_step(MsgFlow& f, std::uintptr_t w) {
       sched(MsgFlow::kBus, p, f.dst_bus->reserve(pkt));
       break;
     case MsgFlow::kBus:
-      if (--f.packets_left == 0) {
-        if (f.rx_half) {
-          finish_boundary_delivery(f);
-        } else {
-          deliver(f);
-        }
-      }
+      if (--f.packets_left == 0) deliver(f);
       break;
 
     case MsgFlow::kRto:
       f.rto_armed = false;
-      if (f.pending > 0 || f.fetching || f.wire_unresolved > 0) {
+      if (f.pending > 0 || f.fetching) {
         // Packets of the current round are still moving (or still being
         // fetched); check again after another timeout.
         arm_rto(f);
@@ -952,11 +636,7 @@ void NetFabric::flow_step(MsgFlow& f, std::uintptr_t w) {
         m &= m - 1;
         MNS_AUDIT(f.pending > 0, "resend batch with zero pending");
         --f.pending;
-        const sim::Time t_tx = f.tx->reserve(f.pkt_bytes(q));
-        sched(MsgFlow::kTx, q, t_tx);
-        // Resent boundary packets re-announce themselves with the bumped
-        // attempt number; the rx half resets its loss mirror on seeing it.
-        if (f.boundary) launch_boundary_packet(f, q, t_tx);
+        sched(MsgFlow::kTx, q, f.tx->reserve(f.pkt_bytes(q)));
       }
       break;
     }
@@ -1001,7 +681,7 @@ void NetFabric::flow_step(MsgFlow& f, std::uintptr_t w) {
         // path's event order bit for bit (see demote()).
         MNS_AUDIT(f.replay_deferred, "armed re-entry without deferral");
         f.replay_deferred = false;
-        sched(MsgFlow::kLaunch, 0, f.eng->now());
+        sched(MsgFlow::kLaunch, 0, eng_->now());
         if (f.packets > 1) {
           sched(MsgFlow::kFetch, 1, f.src_bus->reserve(f.pkt_bytes(1)));
         } else {
@@ -1017,37 +697,25 @@ void NetFabric::deliver(MsgFlow& f) {
   if (f.rto_armed) {
     // The happy-path cancel: the whole message made it, retire the
     // retransmit timer (frees its boxed-closure-free payload in place).
-    f.eng->cancel(f.rto_id);
+    eng_->cancel(f.rto_id);
     f.rto_armed = false;
   }
   MNS_AUDIT(f.lost == 0 && f.corrupt_mask == 0,
             "message delivered with packets still marked lost");
-  ++f.shard->delivered;
+  ++delivered_;
   if (nic_.ack_processing > sim::Time::zero() && f.msg.src != f.msg.dst) {
     // Delivery ack returns to the source NIC and occupies its protocol
     // processor while the send token is retired.
-    f.eng->spawn([](NetFabric& self, sim::Engine& eng,
-                    int src) -> sim::Task<void> {
+    eng_->spawn([](NetFabric& self, sim::Engine& eng,
+                   int src) -> sim::Task<void> {
       co_await eng.delay(self.nic_.ack_delay);
       co_await self.nic_proc(src).occupy(self.nic_.ack_processing);
-    }(*this, *f.eng, f.msg.src), /*daemon=*/true);
+    }(*this, *eng_, f.msg.src), /*daemon=*/true);
   }
   on_delivered(f.msg);
   if (f.msg.complete_on_delivery && f.msg.local_complete) {
     f.msg.local_complete();
   }
-  if (f.msg.remote_arrival) f.msg.remote_arrival();
-  f.delivered_done = true;
-  maybe_release(f);
-}
-
-void NetFabric::finish_boundary_delivery(MsgFlow& f) {
-  // Rx half: the last packet reached destination memory. The tx half
-  // hears about it through this packet's LAND message and runs the
-  // sender-side delivery duties (timer cancel, ack, completion
-  // callbacks) at the same instant in wire_land.
-  MNS_AUDIT(f.lost == 0 && f.corrupt_mask == 0 && f.rx_discard == 0,
-            "rx half delivered with packets still marked lost");
   if (f.msg.remote_arrival) f.msg.remote_arrival();
   f.delivered_done = true;
   maybe_release(f);
@@ -1071,8 +739,8 @@ void NetFabric::lose_packet(MsgFlow& f, std::uint64_t p) {
 
 void NetFabric::arm_rto(MsgFlow& f) {
   if (f.rto_armed) return;
-  f.rto_id = f.eng->at_cancellable(
-      f.eng->now() + rto_delay(f),
+  f.rto_id = eng_->at_cancellable(
+      eng_->now() + rto_delay(f),
       sim::EventFn(&MsgFlow::thunk, &f, MsgFlow::word(MsgFlow::kRto, 0)));
   f.rto_armed = true;
 }
@@ -1099,7 +767,7 @@ void NetFabric::resend_lost(MsgFlow& f) {
   const auto n = static_cast<std::uint64_t>(std::popcount(f.lost));
   f.resend_mask = f.lost;
   f.lost = 0;
-  f.shard->retransmitted += n;
+  retransmitted_ += n;
   // The retransmitted copies re-cross the tx stage, so the tx-drain
   // counter must see them (already decremented on the lost pass). The
   // pending count carries the batch event standing in for the launches.
@@ -1107,9 +775,9 @@ void NetFabric::resend_lost(MsgFlow& f) {
   f.pending += static_cast<std::uint32_t>(n);
   // One event relaunches the whole round (see Kind::kResendBatch); a
   // 64-packet Go-Back-N storm schedules 1 now-queue entry instead of 64.
-  f.eng->at(f.eng->now(), sim::EventFn(&MsgFlow::thunk, &f,
-                                       MsgFlow::word(MsgFlow::kResendBatch,
-                                                     0)));
+  eng_->at(eng_->now(), sim::EventFn(&MsgFlow::thunk, &f,
+                                     MsgFlow::word(MsgFlow::kResendBatch,
+                                                   0)));
 }
 
 void NetFabric::fail_flow(MsgFlow& f) {
@@ -1118,301 +786,20 @@ void NetFabric::fail_flow(MsgFlow& f) {
   const auto abandoned = static_cast<std::uint64_t>(std::popcount(f.lost));
   MNS_AUDIT(abandoned == f.packets_left,
             "abandoned flow with undelivered packets not in the lost set");
-  f.shard->abandoned += abandoned;
+  abandoned_ += abandoned;
   f.lost = 0;
-  ++f.shard->errored;
+  ++errored_;
   if (fail_stop_armed_ && injector_ &&
-      injector_->link_dead(f.msg.src, f.msg.dst, f.eng->now())) {
+      injector_->link_dead(f.msg.src, f.msg.dst, eng_->now())) {
     // Attribution: the budget ran out against a permanently dead
-    // link/NIC, not a lossy one. Teach this sender's shard so later
-    // messages on the link take the bounded degradation fast path
-    // instead of re-running the whole retry cycle.
-    learn_link_dead(*f.shard, f.msg.src, f.msg.dst);
-  }
-  if (f.boundary) {
-    // Tear down the rx half one lookahead out (every wire packet is
-    // already resolved — the timer never fires with packets in flight).
-    exec_->send(f.msg.src, f.msg.dst,
-                f.eng->now() + exec_->topology().lookahead,
-                wire_word(kWireClose, 0, 0), f.flow_key);
+    // link/NIC, not a lossy one. Record it so later messages on the link
+    // take the bounded degradation fast path instead of re-running the
+    // whole retry cycle.
+    learn_link_dead(f.msg.src, f.msg.dst);
   }
   on_aborted(f.msg);
   if (f.msg.on_failed) f.msg.on_failed();
   f.delivered_done = true;  // reuse the release machinery
-  maybe_release(f);
-}
-
-// ---------------------------------------------------------------------------
-// Split-flow protocol implementation (see the file comment for the
-// message contract and the equivalence argument).
-// ---------------------------------------------------------------------------
-
-void NetFabric::launch_boundary_packet(MsgFlow& f, std::uint64_t p,
-                                       sim::Time t_tx) {
-  const std::uint64_t bit = std::uint64_t{1} << p;
-  std::uint64_t flags = 0;
-  if (f.faulted) {
-    // Verdict relocated from tx completion to launch, passing the
-    // explicit tx-completion timestamp: same per-link draw order (the
-    // FIFO tx pipe makes launch order equal completion order) and the
-    // same draw instants as the sequential kTx-time draw.
-    const fault::Verdict v =
-        injector_->packet_verdict(f.msg.src, f.msg.dst, t_tx);
-    if (v == fault::Verdict::kDrop) {
-      ++f.shard->faults_drop;
-      f.drop_mask |= bit;
-      flags |= kWireFlagDropped;
-    } else if (v == fault::Verdict::kCorrupt) {
-      ++f.shard->faults_corrupt;
-      f.corrupt_mask |= bit;
-      flags |= kWireFlagCorrupt;
-    }
-  }
-  if (p == 0 && f.attempts == 0) {
-    // First packet of the first attempt: ship the flow descriptor. Same
-    // timestamp as the first ENTER; the earlier send index makes it sort
-    // first in the delivery batch.
-    // One descriptor per boundary message (not per packet); crosses to
-    // the rx half and is freed there.
-    // simlint-allow: model-alloc
-    auto box = std::make_unique<OpenBox>();  // simcheck-allow: hot-alloc
-    box->msg.src = f.msg.src;
-    box->msg.dst = f.msg.dst;
-    box->msg.bytes = f.msg.bytes;
-    box->msg.src_addr = f.msg.src_addr;
-    box->msg.dst_addr = f.msg.dst_addr;
-    box->msg.complete_on_delivery = f.msg.complete_on_delivery;
-    // The receiver-side callback crosses with the descriptor; the
-    // sender-side closures stay with the tx half.
-    box->msg.remote_arrival = std::move(f.msg.remote_arrival);
-    box->chunk = f.chunk;
-    box->packets = f.packets;
-    box->faulted = f.faulted;
-    exec_->send(f.msg.src, f.msg.dst, t_tx, wire_word(kWireOpen, 0, 0),
-                f.flow_key, 0, static_cast<WireBox*>(box.release()));
-  }
-  if (flags & kWireFlagDropped) {
-    // The gap announcement: the packet never enters the switch, but the
-    // receiver's Go-Back-N sequence check must see it missing.
-    exec_->send(f.msg.src, f.msg.dst, t_tx,
-                wire_word(kWireEnter, p, f.attempts) | flags, f.flow_key);
-    return;
-  }
-  if (f.stage_src != nullptr) {
-    // Staged fabrics: the switch-entry instant is the source-staging
-    // completion, and the staging pipe is shared with this node's
-    // receive side (the Fig. 5 bi-directional bottleneck), whose
-    // reservations land at their own event instants. Reserving staging
-    // here at launch would jump the queue ahead of any receive staged
-    // between launch and t_tx, reordering the shared FIFO against the
-    // sequential machine. The reservation and the ENTER are therefore
-    // deferred to this packet's kTx event, where the queue is final up
-    // to t_tx and the sequential machine's own reserve sits. A corrupt
-    // verdict stays in corrupt_mask until that send. The cost: the
-    // deferred ENTER departs with only the packet's staging
-    // serialization of slack, so the executor lookahead is floored at
-    // one byte's staging time for staged fabrics (see Cluster).
-    return;
-  }
-  ++f.wire_unresolved;
-  if (flags != 0) f.corrupt_mask &= ~bit;  // flag travels on the wire
-  // Switch entry instant: the tx completion. The ENTER departs with
-  // >= tx_wire_latency of lookahead slack (t_tx >= now + wire latency),
-  // which a kTx-time send could not guarantee.
-  exec_->send(f.msg.src, f.msg.dst, t_tx,
-              wire_word(kWireEnter, p, f.attempts) | flags, f.flow_key);
-}
-
-void NetFabric::rx_half_reserve_rx(MsgFlow& f, std::uint64_t p,
-                                   sim::Time done) {
-  // The packet's fate is a pure function of state stable by reservation
-  // time (see the file comment), so it is decided here — one stage ahead
-  // of the sequential machine — and any loss is reported with the exact
-  // detection instant while there is still >= rx_fixed of slack.
-  const std::uint64_t bit = std::uint64_t{1} << p;
-  if (f.faulted) {
-    bool discard = false;
-    if (f.corrupt_mask & bit) {
-      discard = true;  // CRC failure, applied at kRx
-    } else if (recovery_.protocol == RecoveryConfig::Protocol::kGoBackN &&
-               p > 0 && (f.lost & (bit - 1)) != 0) {
-      discard = true;
-      ++f.shard->gbn_discards;
-    }
-    if (discard) {
-      f.rx_discard |= bit;
-      f.lost |= bit;  // later packets' sequence checks see this gap
-      exec_->send(f.msg.dst, f.msg.src, done,
-                  wire_word(kWireLoss, p, f.attempts), f.flow_key);
-    }
-  }
-  ++f.pending;
-  f.eng->at(done,
-            sim::EventFn(&MsgFlow::thunk, &f, MsgFlow::word(MsgFlow::kRx, p)));
-}
-
-void NetFabric::wire_handle(int node, const sim::pdes::WireMsg& m) {
-  switch (m.a & 0xffu) {
-    case kWireOpen:
-      wire_open(node, m);
-      break;
-    case kWireEnter:
-      wire_enter(node, m);
-      break;
-    case kWireLoss:
-      wire_loss(m);
-      break;
-    case kWireLand:
-      wire_land(m);
-      break;
-    case kWireClose:
-      wire_close(m);
-      break;
-    case kWireCall: {
-      std::unique_ptr<CallBox> box(
-          static_cast<CallBox*>(static_cast<WireBox*>(m.box)));
-      box->fn();
-      break;
-    }
-    default:
-      throw std::logic_error("NetFabric: unknown wire message kind");
-  }
-}
-
-void NetFabric::wire_open(int dst, const sim::pdes::WireMsg& m) {
-  std::unique_ptr<OpenBox> box(
-      static_cast<OpenBox*>(static_cast<WireBox*>(m.box)));
-  Shard& sh = shard_of_node(dst);
-  MsgFlow& f = *acquire_flow(sh);
-  f.msg = std::move(box->msg);
-  f.chunk = box->chunk;
-  f.packets = box->packets;
-  f.faulted = box->faulted;
-  f.eng = node_eng_[static_cast<std::size_t>(dst)];
-  f.shard = &sh;
-  f.boundary = false;
-  f.rx_half = true;
-  f.flow_key = m.b;
-  f.drop_mask = 0;
-  f.rx_discard = 0;
-  f.wire_unresolved = 0;
-  f.packets_left_tx = 0;
-  f.packets_left = f.packets;
-  f.first_packet = true;
-  f.express = false;
-  f.demoted = false;
-  f.local_fired = false;
-  f.delivered_done = false;
-  f.ex_fetch_fired = false;
-  f.ex_local_scheduled = false;
-  f.ex_local_fired = false;
-  f.ex_arm_fired = false;
-  f.replay_deferred = false;
-  f.stale_events = 0;
-  f.sender = {};
-  f.fetching = false;
-  f.rto_armed = false;
-  f.lost = 0;
-  f.corrupt_mask = 0;
-  f.resend_mask = 0;
-  f.pending = 0;
-  f.attempts = 0;  // reused as the attempt the mirror state describes
-  // Destination-owned stages only; the tx half keeps the rest.
-  f.src_bus = nullptr;
-  f.tx = nullptr;
-  f.stage_src = nullptr;
-  f.nhops = topo_->hops(f.msg.src, dst, f.hops);
-  f.stage_dst = staging_pipe(dst, f.msg);
-  f.nic_rx_proc =
-      nic_.shared_processor ? nic_proc_[static_cast<std::size_t>(dst)].get()
-                            : nullptr;
-  f.rx = rx_[static_cast<std::size_t>(dst)].get();
-  f.dst_bus = &nodes_[static_cast<std::size_t>(dst)]->bus().pipe();
-  f.claims.clear();
-  sh.wire_flows.emplace(f.flow_key, &f);
-}
-
-void NetFabric::wire_enter(int dst, const sim::pdes::WireMsg& m) {
-  MsgFlow& f = *shard_of_node(dst).wire_flows.at(m.b);
-  const std::uint64_t p = wire_packet(m.a);
-  const std::uint64_t bit = std::uint64_t{1} << p;
-  const int attempt = wire_attempt(m.a);
-  if (attempt > f.attempts) {
-    // First packet of a resend round: the sender cleared its lost set
-    // when it queued the round, so the mirror starts the attempt clean.
-    f.attempts = attempt;
-    f.lost = 0;
-  }
-  if (m.a & kWireFlagDropped) {
-    // Dropped at the sender NIC: nothing enters the switch, but the gap
-    // gates later packets' Go-Back-N fates.
-    f.lost |= bit;
-    return;
-  }
-  if (m.a & kWireFlagCorrupt) f.corrupt_mask |= bit;
-  // This handler runs at the exact instant the sequential machine would
-  // reserve the switch port (the dst-owned pipe), so the reservation and
-  // everything downstream replays identically.
-  ++f.pending;
-  f.eng->at(
-      f.hops[0]->reserve(f.pkt_bytes(p)),
-      sim::EventFn(&MsgFlow::thunk, &f, MsgFlow::word(MsgFlow::kHop0, p)));
-}
-
-void NetFabric::wire_loss(const sim::pdes::WireMsg& m) {
-  // Back on the tx half's partition, at the exact sequential detection
-  // instant: account the packet as lost and arm the retransmit timer.
-  MsgFlow& f = *shard_of_node(m.dst_node).wire_flows.at(m.b);
-  MNS_AUDIT(f.wire_unresolved > 0, "LOSS for a flow with nothing on wire");
-  --f.wire_unresolved;
-  lose_packet(f, wire_packet(m.a));
-}
-
-void NetFabric::wire_land(const sim::pdes::WireMsg& m) {
-  MsgFlow& f = *shard_of_node(m.dst_node).wire_flows.at(m.b);
-  MNS_AUDIT(f.wire_unresolved > 0, "LAND for a flow with nothing on wire");
-  --f.wire_unresolved;
-  MNS_AUDIT(f.packets_left > 0, "LAND after the last packet");
-  if (--f.packets_left != 0) return;
-  // Last packet reached destination memory: this instant is the
-  // sequential deliver(), minus the receiver-side duties the rx half
-  // performed in finish_boundary_delivery at the same timestamp.
-  if (f.rto_armed) {
-    f.eng->cancel(f.rto_id);
-    f.rto_armed = false;
-  }
-  MNS_AUDIT(f.lost == 0 && f.corrupt_mask == 0,
-            "message delivered with packets still marked lost");
-  ++f.shard->delivered;
-  if (nic_.ack_processing > sim::Time::zero()) {
-    // Delivery ack returns to the source NIC and occupies its protocol
-    // processor while the send token is retired (boundary flows are
-    // never loopback, so the ack always exists when configured).
-    f.eng->spawn([](NetFabric& self, sim::Engine& eng,
-                    int src) -> sim::Task<void> {
-      co_await eng.delay(self.nic_.ack_delay);
-      co_await self.nic_proc(src).occupy(self.nic_.ack_processing);
-    }(*this, *f.eng, f.msg.src), /*daemon=*/true);
-  }
-  on_delivered(f.msg);
-  if (f.msg.complete_on_delivery && f.msg.local_complete) {
-    f.msg.local_complete();
-  }
-  f.delivered_done = true;
-  maybe_release(f);
-}
-
-void NetFabric::wire_close(const sim::pdes::WireMsg& m) {
-  // The tx half's recovery gave up; dissolve the rx half. Its event
-  // pipeline is already drained: the sender's timer only exhausts the
-  // budget with every wire packet resolved, and every resolution message
-  // postdates the rx half's last event for that packet.
-  MsgFlow& f = *shard_of_node(m.dst_node).wire_flows.at(m.b);
-  f.lost = 0;
-  f.corrupt_mask = 0;
-  f.rx_discard = 0;
-  f.packets_left = 0;
-  f.delivered_done = true;
   maybe_release(f);
 }
 
@@ -1425,14 +812,12 @@ void NetFabric::set_fault_plan(const fault::FaultPlan& plan) {
   // time and the existing chaos matrices remain bit-identical.
   fail_stop_armed_ = plan.has_fail_stop();
   if (fail_stop_armed_) {
-    // Pre-size every shard's dead-link registry here (construction time,
-    // cold) so learn_link_dead and the sender-loop fast path never
-    // allocate on the simulation's hot path.
+    // Pre-size the dead-link registry here (construction time, cold) so
+    // learn_link_dead and the sender-loop fast path never allocate on the
+    // simulation's hot path.
     const std::size_t n2 = nodes_.size() * nodes_.size();
-    for (auto& shp : shards_) {
-      shp->dead.assign(n2, 0);
-      shp->degrade_round.assign(n2, 0);
-    }
+    dead_.assign(n2, 0);
+    degrade_round_.assign(n2, 0);
   }
   for (const fault::LinkDownSpec& ld : plan.link_downs()) {
     auto bad = [&](int n) {
@@ -1462,25 +847,22 @@ void NetFabric::set_fault_plan(const fault::FaultPlan& plan) {
     Pipe* tx = tx_[static_cast<std::size_t>(st.node)].get();
     Pipe* rx = rx_[static_cast<std::size_t>(st.node)].get();
     const sim::Time dur = st.duration;
-    // Scheduled on the stalled node's owning engine: its NIC pipes are
-    // that partition's state.
-    sim::Engine& ne = *node_eng_[static_cast<std::size_t>(st.node)];
     // The stall is pure occupancy on both DMA engines. reserve_after
     // breaks claims, so an express flow holding the pipe demotes — a
     // faulted window always runs at packet granularity.
-    ne.at(st.at, [tx, rx, dur] {
+    eng_->at(st.at, [tx, rx, dur] {
       tx->reserve_after(dur, 0);
       rx->reserve_after(dur, 0);
     });
     // Keep the engine running past the stall window so the finalize
     // "pipes idle" audit sees the occupancy expire.
-    ne.at(st.at + dur, [] {});
+    eng_->at(st.at + dur, [] {});
   }
 }
 
 bool NetFabric::express_launch(MsgFlow& f) {
   f.express = true;
-  f.launch_time = f.eng->now();
+  f.launch_time = eng_->now();
   for (auto& rec : f.claims) rec.snap = rec.pipe->state();
   if (!replay_flow(f, /*materialize=*/false)) {
     // The closed form can't reproduce the packet interleaving; undo the
@@ -1491,7 +873,7 @@ bool NetFabric::express_launch(MsgFlow& f) {
     f.first_packet = true;  // the aborted walk consumed it
     return false;
   }
-  ++f.shard->express_msgs;
+  ++express_msgs_;
   // Claim every path pipe until the flow's final delivery instant — not
   // just until our last reservation on that pipe. A shorter claim could
   // lapse while the flow is still in flight; a foreign reservation could
@@ -1508,7 +890,7 @@ bool NetFabric::express_launch(MsgFlow& f) {
 
 void NetFabric::demote(MsgFlow& f) {
   MNS_AUDIT(f.express && !f.demoted, "demotion of a non-express flow");
-  ++f.shard->express_demotions;
+  ++express_demotions_;
   f.demoted = true;
   for (auto& rec : f.claims) {
     rec.pipe->clear_claim(&f);
@@ -1543,7 +925,7 @@ void NetFabric::demote(MsgFlow& f) {
 }
 
 bool NetFabric::replay_flow(MsgFlow& f, bool mat) {
-  const sim::Time now = f.eng->now();
+  const sim::Time now = eng_->now();
 
   // Reservations with explicit (virtual) arrival instants.
   auto resv = [&](Pipe* pipe, sim::Time arrive,
@@ -1559,7 +941,7 @@ bool NetFabric::replay_flow(MsgFlow& f, bool mat) {
     // decrements the pending count (express flows are never faulted, but
     // the drain counter must stay balanced for the flow-release audit).
     if (kind <= MsgFlow::kBus) ++f.pending;
-    f.eng->at(t, sim::EventFn(&MsgFlow::thunk, &f, MsgFlow::word(kind, p)));
+    eng_->at(t, sim::EventFn(&MsgFlow::thunk, &f, MsgFlow::word(kind, p)));
   };
 
   sim::Time t_local{};
@@ -1694,7 +1076,7 @@ bool NetFabric::replay_flow(MsgFlow& f, bool mat) {
       // now-queue so it runs after the demoting reservation completes.
       f.ex_fetch_fired = true;
       auto h = std::exchange(f.sender, std::coroutine_handle<>{});
-      if (h) f.eng->at(now, sim::EventFn::resume(h));
+      if (h) eng_->at(now, sim::EventFn::resume(h));
     }
     return true;
   }
@@ -1719,15 +1101,7 @@ void NetFabric::post_switch_broadcast(int src, std::uint64_t bytes,
                                       sim::Time extra_setup,
                                       // simlint-allow: model-alloc (per-broadcast)
                                       std::function<void()> on_delivered) {
-  if (partitions_ > 1) {
-    // Devices with hardware broadcast demote the partition plan before
-    // the fabric is built (the replication legs fan out across every
-    // node's pipes in one coroutine — there is no owning partition).
-    throw std::logic_error(
-        "switch broadcast requires sequential execution; hardware-"
-        "broadcast devices must demote the partition plan");
-  }
-  ++shard_of_node(src).bcasts_posted;
+  ++bcasts_posted_;
   auto task = [](NetFabric& self, int src, std::uint64_t bytes,
                  sim::Time extra_setup,
                  // simlint-allow: model-alloc (per-broadcast callback)
@@ -1781,7 +1155,7 @@ void NetFabric::post_switch_broadcast(int src, std::uint64_t bytes,
                        /*daemon=*/true);
     }
     co_await fan->done.wait();
-    ++self.shard_of_node(src).bcasts_delivered;
+    ++self.bcasts_delivered_;
     if (on_delivered) on_delivered();
   };
   eng_->spawn(task(*this, src, bytes, extra_setup, std::move(on_delivered)),
@@ -1808,18 +1182,10 @@ void NetFabric::register_audits(audit::AuditReport& report) {
                  packets_retransmitted() + packets_abandoned(),
                  "packet-loss conservation broken: every lost packet must "
                  "be retransmitted or abandoned with its flow");
-    s.require_eq(sum(&Shard::bcasts_posted), sum(&Shard::bcasts_delivered),
+    s.require_eq(bcasts_posted_, bcasts_delivered_,
                  "switch broadcast(s) posted but never completed");
-    std::size_t active = 0;
-    std::size_t wired = 0;
-    for (const auto& sh : shards_) {
-      active += sh->flows_active;
-      wired += sh->wire_flows.size();
-    }
-    s.require_eq(active, std::size_t{0},
+    s.require_eq(flows_active_, std::size_t{0},
                  "message flow(s) not recycled at finalize");
-    s.require_eq(wired, std::size_t{0},
-                 "split-flow half(s) still registered at finalize");
     std::vector<Pipe*> pipes;
     collect_pipes(pipes);
     for (Pipe* p : pipes) {

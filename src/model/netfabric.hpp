@@ -31,7 +31,6 @@
 #include <functional>  // simlint-allow: model-alloc
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "fault/fault.hpp"
@@ -45,11 +44,6 @@
 namespace mns::audit {
 class AuditReport;
 }
-
-namespace mns::sim::pdes {
-class FabricExecutor;
-struct WireMsg;
-}  // namespace mns::sim::pdes
 
 namespace mns::model {
 
@@ -132,19 +126,10 @@ struct NicConfig {
   sim::Time ack_delay = sim::Time::zero();  // wire time for the ack
 };
 
-/// Partition layout for PDES execution of the fabric: which partition
-/// owns each node, and each partition's private Engine. Null/absent means
-/// sequential execution on the constructor's engine (partition count 1).
-struct FabricPartitioning {
-  std::vector<int> part_of;           // node -> partition
-  std::vector<sim::Engine*> engines;  // partition -> engine
-};
-
 class NetFabric {
  public:
   NetFabric(sim::Engine& eng, std::vector<NodeHw*> nodes,
-            const SwitchConfig& sw, const NicConfig& nic,
-            const FabricPartitioning* parts = nullptr);
+            const SwitchConfig& sw, const NicConfig& nic);
   virtual ~NetFabric();
   NetFabric(const NetFabric&) = delete;
   NetFabric& operator=(const NetFabric&) = delete;
@@ -159,57 +144,33 @@ class NetFabric {
   SwitchTopology& topology() { return *topo_; }
   const NicConfig& nic_config() const { return nic_; }
 
-  /// Partition ownership (all zero / the constructor engine when built
-  /// without a FabricPartitioning).
-  int partition_of(int node) const {
-    return part_of_[static_cast<std::size_t>(node)];
-  }
-  sim::Engine& node_engine(int node) const {
-    return *node_eng_[static_cast<std::size_t>(node)];
-  }
-  int partitions() const { return partitions_; }
-
-  /// Attach the PDES executor carrying the split-flow wire protocol:
-  /// registers one message handler per node and the box deleter. Must be
-  /// called once, before any traffic, when constructed partitioned.
-  void bind_executor(sim::pdes::FabricExecutor& exec);
-
-  /// Run `fn` on the partition owning `dst_node`, as if scheduled from
-  /// `src_node`: immediately (inline) when both nodes share a partition —
-  /// the sequential behaviour — otherwise as a timestamped channel call
-  /// one lookahead in the future. Cross-partition MPI error paths
-  /// (recv-side teardown on a sender-side transport error) route through
-  /// this instead of touching remote state directly.
-  ///
-  /// Under a fail-stop plan the cross-NODE delay is uniform instead:
-  /// every src != dst call pays error_notify_delay() whether or not the
-  /// nodes share a partition. The error indication is a wire-borne event
-  /// (a NACK / teardown crossing the link), so it cannot be observed
-  /// faster than the fabric's tightest protocol slack — and charging the
-  /// same delay in sequential runs is what makes fail-stop outcomes
-  /// bit-identical across partition counts.
+  /// Deliver an error notification from `src_node` to `dst_node`: the
+  /// MPI devices' recv-side teardown on a sender-side transport error.
+  /// Runs `fn` inline, except under a fail-stop plan, where a cross-node
+  /// call is a scheduled event error_notify_delay() in the future: the
+  /// indication is a wire-borne event (a NACK / teardown crossing the
+  /// link), so it cannot be observed instantly.
   void run_on_node(int src_node, int dst_node,
                    // simlint-allow: model-alloc (error path only)
                    std::function<void()> fn);
 
   /// Wire latency charged to cross-node error notifications under a
-  /// fail-stop plan (see run_on_node). The cluster sets it to the PDES
-  /// executor's conservative slack so sequential and partitioned runs
-  /// charge the same figure.
+  /// fail-stop plan (see run_on_node); the cluster sets it from the
+  /// fabric's NIC and bus parameters.
   void set_error_notify_delay(sim::Time d) { error_notify_delay_ = d; }
   sim::Time error_notify_delay() const { return error_notify_delay_; }
 
-  std::uint64_t messages_posted() const { return sum(&Shard::posted); }
-  std::uint64_t messages_delivered() const { return sum(&Shard::delivered); }
+  std::uint64_t messages_posted() const { return posted_; }
+  std::uint64_t messages_delivered() const { return delivered_; }
   /// Messages whose recovery protocol ran and exhausted its retry budget
   /// (surfaced via NetMsg::on_failed).
-  std::uint64_t messages_errored() const { return sum(&Shard::errored); }
+  std::uint64_t messages_errored() const { return errored_; }
   /// Messages fast-failed by the degradation protocol because the fabric
   /// had already learned the target link is permanently dead — surfaced
   /// via NetMsg::on_failed without re-running the packet-level retry
   /// cycle. Always zero without a fail-stop fault plan. Finalize law:
   ///   posted == delivered + errored + aborted.
-  std::uint64_t messages_aborted() const { return sum(&Shard::aborted); }
+  std::uint64_t messages_aborted() const { return aborted_; }
 
   /// Install a fault plan (chaos harness). Must be called before the
   /// simulation runs; an empty plan is a no-op, keeping the data path
@@ -226,9 +187,9 @@ class NetFabric {
   /// that link src->dst is permanently dead and degraded it.
   bool link_known_dead(int src, int dst) const;
   /// Links whose permanent death has been learned, and messages degraded
-  /// on them since. Derived from per-shard state on demand — the fabrics
-  /// rename these into their own vocabulary (QP teardowns, route probes,
-  /// retry escalations) without keeping shared mutable counters.
+  /// on them since. Derived from the dead-link registry on demand — the
+  /// fabrics rename these into their own vocabulary (QP teardowns, route
+  /// probes, retry escalations) without keeping counters of their own.
   std::uint64_t links_failed() const;
   std::uint64_t degrade_rounds() const;
   const RecoveryConfig& recovery_config() const { return recovery_; }
@@ -240,24 +201,18 @@ class NetFabric {
   /// so it only trips on genuinely unbounded protocols.
   void set_watchdog_rounds(int rounds) { watchdog_rounds_ = rounds; }
   int watchdog_rounds() const { return watchdog_rounds_; }
-  /// Diagnostic snapshot for the livelock report: per-shard counters,
+  /// Diagnostic snapshot for the livelock report: message counters,
   /// live flow stages (src, dst, kind of wait, attempts, pending
   /// packets), and per-node send-queue depths.
   std::string progress_report() const;
 
   // Fault/recovery conservation counters. Law (audited at finalize):
   //   dropped + corrupted + gbn_discarded == retransmitted + abandoned.
-  std::uint64_t packets_dropped() const { return sum(&Shard::faults_drop); }
-  std::uint64_t packets_corrupted() const {
-    return sum(&Shard::faults_corrupt);
-  }
-  std::uint64_t packets_gbn_discarded() const {
-    return sum(&Shard::gbn_discards);
-  }
-  std::uint64_t packets_retransmitted() const {
-    return sum(&Shard::retransmitted);
-  }
-  std::uint64_t packets_abandoned() const { return sum(&Shard::abandoned); }
+  std::uint64_t packets_dropped() const { return faults_drop_; }
+  std::uint64_t packets_corrupted() const { return faults_corrupt_; }
+  std::uint64_t packets_gbn_discarded() const { return gbn_discards_; }
+  std::uint64_t packets_retransmitted() const { return retransmitted_; }
+  std::uint64_t packets_abandoned() const { return abandoned_; }
 
   /// Enable/disable the uncontended express path (default on). Timing is
   /// bit-identical either way — the toggle exists for the equivalence
@@ -265,18 +220,10 @@ class NetFabric {
   void set_express(bool on) { express_enabled_ = on; }
   bool express_enabled() const { return express_enabled_; }
   /// Messages whose whole window ran express (no demotion).
-  std::uint64_t express_messages() const { return sum(&Shard::express_msgs); }
+  std::uint64_t express_messages() const { return express_msgs_; }
   /// Express launches demoted back to packet granularity by a competing
   /// reservation landing inside the claimed window.
-  std::uint64_t express_demotions() const {
-    return sum(&Shard::express_demotions);
-  }
-  /// Express claims refused up front because the flow's reservation window
-  /// would span a partition boundary (a boundary flow is not provably
-  /// uncontended from one partition's view). Always zero sequentially.
-  std::uint64_t express_boundary_demotions() const {
-    return sum(&Shard::boundary_demotions);
-  }
+  std::uint64_t express_demotions() const { return express_demotions_; }
 
   /// Finalize-time conservation checks: every posted message delivered,
   /// every broadcast completed, all NIC/switch stages idle, no live
@@ -320,15 +267,14 @@ class NetFabric {
   /// error path): subclasses release whatever on_posted acquired.
   virtual void on_aborted(const NetMsg& msg);
   /// Fail-stop degradation hooks. on_link_failed fires once per (src,
-  /// dst) link, on the src node's owning partition, at the moment a
-  /// retry-budget exhaustion is attributed to a permanent failure;
-  /// subclasses tear down per-connection state (IB) or record the
-  /// escalation (Elan). degrade_delay prices the bounded degradation
+  /// dst) link, at the moment a retry-budget exhaustion is attributed to
+  /// a permanent failure; subclasses tear down per-connection state (IB)
+  /// or record the escalation (Elan). degrade_delay prices the bounded degradation
   /// work a *subsequent* message on the dead link pays before its
   /// fast-fail surfaces: `round` counts prior degraded messages on that
   /// link (1 for the first), so IB can model capped reconnect backoff
   /// and GM a one-time alternate-route probe. Must be pure functions of
-  /// their arguments (no RNG) so partitioned runs stay bit-identical.
+  /// their arguments (no RNG) so degraded runs stay reproducible.
   virtual void on_link_failed(int src, int dst);
   virtual sim::Time degrade_delay(const NetMsg& msg, int round) const;
   /// Recovery protocol parameters; subclasses set these in their
@@ -364,90 +310,13 @@ class NetFabric {
   };
   static ChunkPlan chunk_plan(std::uint64_t bytes, std::uint32_t mtu);
 
-  /// Per-partition slice of the fabric's mutable bookkeeping. Every
-  /// counter and the MsgFlow pool are sharded by owning partition so
-  /// partitioned execution never shares a cache line across workers;
-  /// accessors sum at finalize. Sequential fabrics have exactly one
-  /// shard, making the sharding a pure rename of the old members.
-  struct Shard {
-    // Pooled MsgFlow slab (tx halves launched here + rx halves of
-    // boundary flows terminating here).
-    std::vector<std::unique_ptr<MsgFlow>> slab;
-    MsgFlow* free_list = nullptr;
-    std::size_t flows_active = 0;
-    // Live halves of split flows owned by this partition (tx halves of
-    // outbound boundary flows, rx halves of inbound ones), keyed by the
-    // globally-unique flow key.
-    std::unordered_map<std::uint64_t, MsgFlow*> wire_flows;
-    std::uint64_t posted = 0;
-    std::uint64_t delivered = 0;
-    std::uint64_t errored = 0;
-    std::uint64_t aborted = 0;
-    // Fail-stop degradation state, sized nodes*nodes lazily (only when a
-    // fail-stop plan is armed; empty otherwise). Only src nodes owned by
-    // this shard write/read their rows, so partitions never share it.
-    // dead[src*n+dst] != 0 once the link's death was learned;
-    // degrade_round counts degraded messages per dead link (the backoff
-    // input for degrade_delay).
-    std::vector<std::uint8_t> dead;
-    std::vector<std::uint32_t> degrade_round;
-    std::uint64_t bcasts_posted = 0;
-    std::uint64_t bcasts_delivered = 0;
-    std::uint64_t express_msgs = 0;
-    std::uint64_t express_demotions = 0;
-    std::uint64_t boundary_demotions = 0;
-    std::uint64_t faults_drop = 0;
-    std::uint64_t faults_corrupt = 0;
-    std::uint64_t gbn_discards = 0;
-    std::uint64_t retransmitted = 0;
-    std::uint64_t abandoned = 0;
-  };
-
-  std::uint64_t sum(std::uint64_t Shard::*m) const {
-    std::uint64_t s = 0;
-    for (const auto& sh : shards_) s += (*sh).*m;
-    return s;
-  }
-  Shard& shard_of_node(int node) {
-    return *shards_[static_cast<std::size_t>(
-        part_of_[static_cast<std::size_t>(node)])];
-  }
-  Shard& shard_of(const MsgFlow& f);
-  bool is_boundary(int src, int dst) const {
-    return part_of_[static_cast<std::size_t>(src)] !=
-           part_of_[static_cast<std::size_t>(dst)];
-  }
-
   sim::Task<void> sender_loop(int node_id);
 
-  MsgFlow* acquire_flow(Shard& sh);
+  MsgFlow* acquire_flow();
   void release_flow(MsgFlow& f);
   void maybe_release(MsgFlow& f);
 
   void init_flow(MsgFlow& f, NetMsg msg);
-
-  // ---- Split-flow wire protocol (boundary flows under PDES execution).
-  // The tx half ends at NIC-tx completion; everything beyond the switch
-  // entry runs as an rx half on the destination partition, started and
-  // fed by timestamped executor messages (netfabric.cpp, "split-flow
-  // protocol").
-  void wire_handle(int node, const sim::pdes::WireMsg& m);
-  void wire_open(int dst, const sim::pdes::WireMsg& m);
-  void wire_enter(int dst, const sim::pdes::WireMsg& m);
-  void wire_loss(const sim::pdes::WireMsg& m);
-  void wire_land(const sim::pdes::WireMsg& m);
-  void wire_close(const sim::pdes::WireMsg& m);
-  /// Draw this packet's launch-time fault verdict (boundary flows only:
-  /// same stream, same order, same verdict instants as the sequential
-  /// kTx-time draw) and send the forward ENTER message where the switch
-  /// entry time is already known.
-  void launch_boundary_packet(MsgFlow& f, std::uint64_t p, sim::Time t_tx);
-  /// Reserve the destination rx stage for an rx-half packet and decide
-  /// its predetermined fate (CRC discard / Go-Back-N gap) — computable
-  /// one stage early, which is what gives the reverse LOSS message its
-  /// lookahead slack while reporting the exact sequential detection time.
-  void rx_half_reserve_rx(MsgFlow& f, std::uint64_t p, sim::Time done);
-  void finish_boundary_delivery(MsgFlow& f);
 
   bool can_express(const MsgFlow& f);
   /// Bulk-apply the flow and claim its window; false when the closed form
@@ -481,9 +350,9 @@ class NetFabric {
     return static_cast<std::size_t>(src) * nodes_.size() +
            static_cast<std::size_t>(dst);
   }
-  /// Record that (src, dst) is permanently dead in src's shard and fire
-  /// on_link_failed exactly once per link.
-  void learn_link_dead(Shard& sh, int src, int dst);
+  /// Record that (src, dst) is permanently dead and fire on_link_failed
+  /// exactly once per link.
+  void learn_link_dead(int src, int dst);
   /// Terminal accounting for a message fast-failed by degradation: counts
   /// `aborted`, releases subclass resources and surfaces on_failed.
   void abort_degraded(NetMsg msg);
@@ -496,24 +365,35 @@ class NetFabric {
   std::vector<std::unique_ptr<Pipe>> rx_;
   std::vector<std::unique_ptr<Pipe>> nic_proc_;  // shared protocol processor
   std::vector<std::unique_ptr<sim::Mailbox<NetMsg>>> sendq_;
-  // One Shard per partition (heap-allocated so MsgFlow needs only the
-  // forward declaration here). Sequentially there is exactly one.
-  std::vector<std::unique_ptr<Shard>> shards_;
-  // Partition layout: node -> owning partition / owning engine. All
-  // zeros / all eng_ when constructed without a FabricPartitioning.
-  std::vector<int> part_of_;
-  std::vector<sim::Engine*> node_eng_;
-  int partitions_ = 1;
-  sim::pdes::FabricExecutor* exec_ = nullptr;
-  // Per-source-node sequence numbers for boundary flow keys (only the
-  // owning partition touches its nodes' counters).
-  std::vector<std::uint64_t> flow_seq_;
+  // Pooled MsgFlow slab; released flows wait on the free list.
+  std::vector<std::unique_ptr<MsgFlow>> slab_;
+  MsgFlow* free_list_ = nullptr;
+  std::size_t flows_active_ = 0;
+  std::uint64_t posted_ = 0;
+  std::uint64_t delivered_ = 0;
+  std::uint64_t errored_ = 0;
+  std::uint64_t aborted_ = 0;
+  std::uint64_t bcasts_posted_ = 0;
+  std::uint64_t bcasts_delivered_ = 0;
+  std::uint64_t express_msgs_ = 0;
+  std::uint64_t express_demotions_ = 0;
+  std::uint64_t faults_drop_ = 0;
+  std::uint64_t faults_corrupt_ = 0;
+  std::uint64_t gbn_discards_ = 0;
+  std::uint64_t retransmitted_ = 0;
+  std::uint64_t abandoned_ = 0;
   bool express_enabled_ = true;
   // Fault injection + recovery (null injector = lossless fabric).
   std::unique_ptr<fault::Injector> injector_;
   RecoveryConfig recovery_;
-  // Fail-stop degradation + progress watchdog.
+  // Fail-stop degradation + progress watchdog. The dead-link registry is
+  // sized nodes*nodes only when a fail-stop plan is armed (empty
+  // otherwise): dead_[src*n+dst] != 0 once the link's death was learned;
+  // degrade_round_ counts degraded messages per dead link (the backoff
+  // input for degrade_delay).
   bool fail_stop_armed_ = false;
+  std::vector<std::uint8_t> dead_;
+  std::vector<std::uint32_t> degrade_round_;
   int watchdog_rounds_ = 1024;
   sim::Time error_notify_delay_{};  // uniform cross-node notify latency
 };

@@ -33,22 +33,6 @@ class CrossbarSwitch {
     }
   }
 
-  /// Partitioned construction: output port i's pipe lives on
-  /// `port_eng[i]` — the engine of the partition owning the destination
-  /// node, since a crossbar output port is only ever reserved by traffic
-  /// *to* that node (the PDES ownership rule for the switching stage).
-  /// Ports beyond port_eng.size() fall back to `eng`.
-  CrossbarSwitch(sim::Engine& eng, const std::vector<sim::Engine*>& port_eng,
-                 const SwitchConfig& cfg)
-      : cfg_(cfg) {
-    out_.reserve(cfg.ports);
-    for (std::size_t i = 0; i < cfg.ports; ++i) {
-      sim::Engine& e =
-          i < port_eng.size() && port_eng[i] != nullptr ? *port_eng[i] : eng;
-      out_.emplace_back(e, cfg.port_bytes_per_second, cfg.forward_latency);
-    }
-  }
-
   /// Forward one packet to output port `dst`.
   sim::Task<void> forward(std::size_t dst, std::uint64_t bytes) {
     return port(dst).transfer(bytes);

@@ -55,10 +55,6 @@ class SingleCrossbar final : public SwitchTopology {
  public:
   SingleCrossbar(sim::Engine& eng, const SwitchConfig& cfg)
       : sw_(eng, cfg) {}
-  /// Partitioned: port i on node i's owning engine (see CrossbarSwitch).
-  SingleCrossbar(sim::Engine& eng, const std::vector<sim::Engine*>& port_eng,
-                 const SwitchConfig& cfg)
-      : sw_(eng, port_eng, cfg) {}
 
   int hops(int /*src*/, int dst, Pipe* out[kMaxHops]) override {
     out[0] = &sw_.port(static_cast<std::size_t>(dst));

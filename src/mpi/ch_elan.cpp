@@ -77,8 +77,8 @@ sim::Task<void> ElanChannel::start_send(SendOp op) {
     // here. The receiver learns of the failure through NIC matching (the
     // error envelope), exactly where the data would have matched.
     if (!req->done) req->complete(error_status(env));
-    // Fires on the sender's partition; the receiver's matcher lives on
-    // its own — route the error-envelope match there.
+    // The error envelope reaches the receiver as an error notification
+    // (see NetFabric::run_on_node).
     fabric_->run_on_node(mpi_->node_of(env.src), mpi_->node_of(env.dst),
                          [this, env] { on_failed_arrival(env); });
   };
@@ -123,11 +123,11 @@ void ElanChannel::on_arrival(
     // The scan + MMU work occupies the NIC processor, serializing with
     // other arrivals (this is what makes a many-receiver burst like
     // alltoall expensive on Quadrics, Fig. 11).
-    mpi_->engine_of(env.dst).spawn(
+    mpi_->engine().spawn(
         [](ElanChannel& self, int dnode, sim::Time stall,
            std::shared_ptr<PostedRecv> pr, Envelope env) -> sim::Task<void> {
           co_await self.fabric_->occupy_nic(dnode, stall);
-          co_await self.mpi_->engine_of(env.dst).delay(self.cfg_.o_complete);
+          co_await self.mpi_->engine().delay(self.cfg_.o_complete);
           pr->req->complete(status_of(env));
         }(*this, dnode, stall, shared_pr, env),
         /*daemon=*/true);

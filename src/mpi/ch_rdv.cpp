@@ -42,10 +42,8 @@ RdvChannel::RdvChannel(Mpi& mpi, model::NetFabric& fabric,
       memory_(std::move(memory)) {
   shm_.reserve(fabric_->node_count());
   for (std::size_t n = 0; n < fabric_->node_count(); ++n) {
-    // Intra-node traffic only ever touches the node's own domain, so each
-    // domain lives on the engine owning that node's partition.
-    shm_.push_back(std::make_unique<shm::ShmDomain>(
-        fabric_->node_engine(static_cast<int>(n)), cfg_.shm));
+    shm_.push_back(
+        std::make_unique<shm::ShmDomain>(fabric_->engine(), cfg_.shm));
   }
 }
 
@@ -138,9 +136,8 @@ void RdvChannel::on_shm_arrival(
 // Status::error == kErrFabric instead of waiting forever.
 
 void RdvChannel::fail_recv_side(const Envelope& env, int from_node) {
-  // on_failed hooks fire on the engine owning the failed message's source
-  // node; the receiver's matcher and CPU belong to its own partition, so
-  // the teardown routes there (inline when they share a partition).
+  // The teardown is an error notification from the failed message's
+  // source node (see NetFabric::run_on_node).
   fabric_->run_on_node(from_node, mpi_->node_of(env.dst), [this, env] {
     auto& rp = mpi_->proc(env.dst);
     host_gate(rp)([this, env, &rp] {
@@ -161,9 +158,8 @@ void RdvChannel::fail_recv_side(const Envelope& env, int from_node) {
 void RdvChannel::fail_rendezvous(std::shared_ptr<RdvState> st,
                                  int from_node) {
   const Envelope env = st->send.env;
-  // Each side's request completes on its own partition; the done flags
-  // are checked inside the routed closures, where the owning engine's
-  // view of them is current.
+  // The done flags are checked inside the routed closures: under a
+  // fail-stop plan they run one notification delay later.
   fabric_->run_on_node(from_node, mpi_->node_of(env.src), [st, env] {
     if (!st->send.req->done) st->send.req->complete(error_status(env));
   });
@@ -201,7 +197,7 @@ sim::Task<void> RdvChannel::send_eager(SendOp op) {
   m.on_failed = [this, req, env] {
     // Eager sends complete when the data leaves the NIC, so the send
     // request is normally already done here; only the receiver still
-    // waits on the lost payload. Fires on the sender's partition.
+    // waits on the lost payload.
     if (!req->done) req->complete(error_status(env));
     fail_recv_side(env, mpi_->node_of(env.src));
   };
@@ -243,7 +239,7 @@ void RdvChannel::deliver_buffered(
   auto shared_pr = std::make_shared<PostedRecv>(std::move(pr));
   // Completion processing runs on the receiving host CPU: concurrent
   // arrivals serialize through the rank's host-work queue.
-  mpi_->engine_of(env.dst).spawn(
+  mpi_->engine().spawn(
       [](Proc& rp, sim::Time cost, Envelope env,
          std::shared_ptr<std::vector<std::byte>> payload,
          std::shared_ptr<PostedRecv> pr) -> sim::Task<void> {
@@ -354,7 +350,7 @@ void RdvChannel::issue_cts(std::shared_ptr<RdvState> st) {
     }
   }
   rp.cpu().accrue_overhead(cost);
-  mpi_->engine_of(st->send.env.dst)
+  mpi_->engine()
       .spawn(
           [](RdvChannel& self, Proc& rp, sim::Time cost,
              std::shared_ptr<RdvState> st, int dnode) -> sim::Task<void> {
@@ -379,7 +375,7 @@ void RdvChannel::on_cts(std::shared_ptr<RdvState> st) {
     // CTS processing occupies the sender host before the data goes out;
     // with many rendezvous sends in flight these serialize — part of why
     // the paper's Fig. 2 bandwidth dips at the eager->rendezvous switch.
-    mpi_->engine_of(st->send.env.src)
+    mpi_->engine()
         .spawn(
             [](RdvChannel& self, Proc& sp,
                std::shared_ptr<RdvState> st) -> sim::Task<void> {
@@ -413,7 +409,7 @@ void RdvChannel::post_rendezvous_data(std::shared_ptr<RdvState> st) {
     fin.remote_arrival = [this, st, env] {
       auto& rp = mpi_->proc(env.dst);
       rp.cpu().accrue_overhead(cfg_.o_recv);
-      mpi_->engine_of(env.dst).spawn(
+      mpi_->engine().spawn(
           [](RdvChannel& self, Proc& rp,
              std::shared_ptr<RdvState> st, Envelope env) -> sim::Task<void> {
             co_await rp.host_work().occupy(self.cfg_.o_recv);

@@ -97,7 +97,7 @@ sim::Task<int> Comm::bcast_p2p(View buf, Rank root, Tag tag) {
 }
 
 sim::Task<void> Comm::bcast_impl(View buf, Rank root) {
-  buf = mpi_->canon(rank_, buf);
+  buf = mpi_->canon(buf);
   mpi_->recorder().on_collective(rank_, "Bcast", buf.bytes(), buf.addr());
   const std::uint64_t seq = coll_seq_;
   const Tag tag = next_coll_tag();
@@ -164,7 +164,7 @@ sim::Task<int> Comm::reduce_p2p(View buf, std::size_t count, Dtype dtype,
 
 sim::Task<void> Comm::reduce_impl(View buf, std::size_t count, Dtype dtype,
                              ROp op, Rank root) {
-  buf = mpi_->canon(rank_, buf);
+  buf = mpi_->canon(buf);
   mpi_->recorder().on_collective(rank_, "Reduce", buf.bytes(), buf.addr());
   const Tag tag = next_coll_tag();
   if (size() == 1) {
@@ -177,7 +177,7 @@ sim::Task<void> Comm::reduce_impl(View buf, std::size_t count, Dtype dtype,
 
 sim::Task<void> Comm::allreduce_impl(View buf, std::size_t count, Dtype dtype,
                                 ROp op) {
-  buf = mpi_->canon(rank_, buf);
+  buf = mpi_->canon(buf);
   mpi_->recorder().on_collective(rank_, "Allreduce", buf.bytes(),
                                  buf.addr());
   const std::uint64_t seq = coll_seq_;
@@ -233,8 +233,8 @@ sim::Task<void> Comm::allreduce_impl(View buf, std::size_t count, Dtype dtype,
 
 sim::Task<void> Comm::alltoall_impl(View sendbuf, View recvbuf,
                                std::uint64_t per_rank) {
-  sendbuf = mpi_->canon(rank_, sendbuf);
-  recvbuf = mpi_->canon(rank_, recvbuf);
+  sendbuf = mpi_->canon(sendbuf);
+  recvbuf = mpi_->canon(recvbuf);
   mpi_->recorder().on_collective(rank_, "Alltoall", sendbuf.bytes(),
                                  sendbuf.addr());
   const Tag tag = next_coll_tag();
@@ -274,8 +274,8 @@ sim::Task<void> Comm::alltoall_impl(View sendbuf, View recvbuf,
 sim::Task<void> Comm::alltoallv_impl(
     View sendbuf, const std::vector<std::uint64_t>& send_counts,
     View recvbuf, const std::vector<std::uint64_t>& recv_counts) {
-  sendbuf = mpi_->canon(rank_, sendbuf);
-  recvbuf = mpi_->canon(rank_, recvbuf);
+  sendbuf = mpi_->canon(sendbuf);
+  recvbuf = mpi_->canon(recvbuf);
   mpi_->recorder().on_collective(rank_, "Alltoallv", sendbuf.bytes(),
                                  sendbuf.addr());
   const Tag tag = next_coll_tag();
@@ -320,8 +320,8 @@ sim::Task<void> Comm::alltoallv_impl(
 
 sim::Task<void> Comm::allgather_impl(View sendpart, View recvbuf,
                                 std::uint64_t per_rank) {
-  sendpart = mpi_->canon(rank_, sendpart);
-  recvbuf = mpi_->canon(rank_, recvbuf);
+  sendpart = mpi_->canon(sendpart);
+  recvbuf = mpi_->canon(recvbuf);
   mpi_->recorder().on_collective(rank_, "Allgather", sendpart.bytes(),
                                  sendpart.addr());
   const Tag tag = next_coll_tag();
@@ -352,8 +352,8 @@ sim::Task<void> Comm::allgather_impl(View sendpart, View recvbuf,
 
 sim::Task<void> Comm::gather_impl(View sendpart, View recvbuf,
                              std::uint64_t per_rank, Rank root) {
-  sendpart = mpi_->canon(rank_, sendpart);
-  recvbuf = mpi_->canon(rank_, recvbuf);
+  sendpart = mpi_->canon(sendpart);
+  recvbuf = mpi_->canon(recvbuf);
   mpi_->recorder().on_collective(rank_, "Gather", sendpart.bytes(),
                                  sendpart.addr());
   const Tag tag = next_coll_tag();
@@ -385,8 +385,8 @@ sim::Task<void> Comm::gather_impl(View sendpart, View recvbuf,
 
 sim::Task<void> Comm::scatter_impl(View sendbuf, View recvpart,
                               std::uint64_t per_rank, Rank root) {
-  sendbuf = mpi_->canon(rank_, sendbuf);
-  recvpart = mpi_->canon(rank_, recvpart);
+  sendbuf = mpi_->canon(sendbuf);
+  recvpart = mpi_->canon(recvpart);
   mpi_->recorder().on_collective(rank_, "Scatter", recvpart.bytes(),
                                  recvpart.addr());
   const Tag tag = next_coll_tag();
@@ -418,8 +418,8 @@ sim::Task<void> Comm::scatter_impl(View sendbuf, View recvpart,
 sim::Task<void> Comm::reduce_scatter_block_impl(View buf,
                                            std::size_t count_per_rank,
                                            Dtype dtype, ROp op, View out) {
-  buf = mpi_->canon(rank_, buf);
-  out = mpi_->canon(rank_, out);
+  buf = mpi_->canon(buf);
+  out = mpi_->canon(out);
   mpi_->recorder().on_collective(rank_, "Reduce_scatter", buf.bytes(),
                                  buf.addr());
   const Tag tag = next_coll_tag();
@@ -451,7 +451,7 @@ sim::Task<void> Comm::reduce_scatter_block_impl(View buf,
 
 sim::Task<void> Comm::scan_impl(View buf, std::size_t count, Dtype dtype,
                            ROp op) {
-  buf = mpi_->canon(rank_, buf);
+  buf = mpi_->canon(buf);
   mpi_->recorder().on_collective(rank_, "Scan", buf.bytes(), buf.addr());
   const Tag tag = next_coll_tag();
   const int p = size();
@@ -488,8 +488,8 @@ sim::Task<void> Comm::scan_impl(View buf, std::size_t count, Dtype dtype,
 sim::Task<void> Comm::gatherv_impl(View sendpart, View recvbuf,
                               const std::vector<std::uint64_t>& counts,
                               Rank root) {
-  sendpart = mpi_->canon(rank_, sendpart);
-  recvbuf = mpi_->canon(rank_, recvbuf);
+  sendpart = mpi_->canon(sendpart);
+  recvbuf = mpi_->canon(recvbuf);
   mpi_->recorder().on_collective(rank_, "Gatherv", sendpart.bytes(),
                                  sendpart.addr());
   const Tag tag = next_coll_tag();
@@ -524,8 +524,8 @@ sim::Task<void> Comm::gatherv_impl(View sendpart, View recvbuf,
 sim::Task<void> Comm::scatterv_impl(View sendbuf,
                                const std::vector<std::uint64_t>& counts,
                                View recvpart, Rank root) {
-  sendbuf = mpi_->canon(rank_, sendbuf);
-  recvpart = mpi_->canon(rank_, recvpart);
+  sendbuf = mpi_->canon(sendbuf);
+  recvpart = mpi_->canon(recvpart);
   mpi_->recorder().on_collective(rank_, "Scatterv", recvpart.bytes(),
                                  recvpart.addr());
   const Tag tag = next_coll_tag();

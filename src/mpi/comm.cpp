@@ -82,12 +82,12 @@ View Comm::slice(const View& v, std::uint64_t offset, std::uint64_t len) {
 sim::Task<Request> Comm::isend_impl(View buf, Rank dst, Tag tag,
                                     bool nonblocking) {
   if (dst < 0 || dst >= size()) throw std::invalid_argument("bad dest rank");
-  buf = mpi_->canon(rank_, buf);
+  buf = mpi_->canon(buf);
   auto& p = mpi_->proc(rank_);
   sim::MpiScope scope(p.cpu());
   p.drain_deferred();
 
-  auto req = std::make_shared<RequestState>(mpi_->engine_of(rank_),
+  auto req = std::make_shared<RequestState>(mpi_->engine(),
                                             &mpi_->request_ledger());
   SendOp op;
   op.env = Envelope{rank_, dst, tag, buf.bytes()};
@@ -100,7 +100,7 @@ sim::Task<Request> Comm::isend_impl(View buf, Rank dst, Tag tag,
 
 sim::Task<Request> Comm::irecv_impl(View buf, Rank src, Tag tag,
                                     bool nonblocking) {
-  buf = mpi_->canon(rank_, buf);
+  buf = mpi_->canon(buf);
   auto& p = mpi_->proc(rank_);
   sim::MpiScope scope(p.cpu());
   p.drain_deferred();
@@ -108,7 +108,7 @@ sim::Task<Request> Comm::irecv_impl(View buf, Rank src, Tag tag,
   const sim::Time post_cost = mpi_->device().recv_post_cost();
   if (post_cost > sim::Time::zero()) co_await p.cpu().busy(post_cost);
 
-  auto req = std::make_shared<RequestState>(mpi_->engine_of(rank_),
+  auto req = std::make_shared<RequestState>(mpi_->engine(),
                                             &mpi_->request_ledger());
   PostedRecv pr{src, tag, buf, req};
   if (auto u = p.matcher().match_posted(src, tag)) {
@@ -121,7 +121,7 @@ sim::Task<Request> Comm::irecv_impl(View buf, Rank src, Tag tag,
 
 sim::Task<void> Comm::send(View buf, Rank dst, Tag tag) {
   if (dst < 0 || dst >= size()) throw std::invalid_argument("bad dest rank");
-  buf = mpi_->canon(rank_, buf);
+  buf = mpi_->canon(buf);
   const bool intra = mpi_->same_node(rank_, dst);
   mpi_->recorder().on_send(rank_, buf.bytes(), false, buf.addr(), intra);
   const double tt0 = wtime();
@@ -131,7 +131,7 @@ sim::Task<void> Comm::send(View buf, Rank dst, Tag tag) {
 }
 
 sim::Task<Status> Comm::recv(View buf, Rank src, Tag tag) {
-  buf = mpi_->canon(rank_, buf);
+  buf = mpi_->canon(buf);
   mpi_->recorder().on_recv(rank_, buf.bytes(), false, buf.addr());
   const double tt0 = wtime();
   Request req = co_await irecv_impl(buf, src, tag, false);
@@ -142,14 +142,14 @@ sim::Task<Status> Comm::recv(View buf, Rank src, Tag tag) {
 
 sim::Task<Request> Comm::isend(View buf, Rank dst, Tag tag) {
   if (dst < 0 || dst >= size()) throw std::invalid_argument("bad dest rank");
-  buf = mpi_->canon(rank_, buf);
+  buf = mpi_->canon(buf);
   const bool intra = mpi_->same_node(rank_, dst);
   mpi_->recorder().on_send(rank_, buf.bytes(), true, buf.addr(), intra);
   return isend_impl(buf, dst, tag, true);
 }
 
 sim::Task<Request> Comm::irecv(View buf, Rank src, Tag tag) {
-  buf = mpi_->canon(rank_, buf);
+  buf = mpi_->canon(buf);
   mpi_->recorder().on_recv(rank_, buf.bytes(), true, buf.addr());
   return irecv_impl(buf, src, tag, true);
 }
@@ -169,8 +169,8 @@ sim::Task<void> Comm::wait_all(std::vector<Request> reqs) {
 
 sim::Task<Status> Comm::sendrecv(View sendbuf, Rank dst, Tag stag,
                                  View recvbuf, Rank src, Tag rtag) {
-  sendbuf = mpi_->canon(rank_, sendbuf);
-  recvbuf = mpi_->canon(rank_, recvbuf);
+  sendbuf = mpi_->canon(sendbuf);
+  recvbuf = mpi_->canon(recvbuf);
   mpi_->recorder().on_recv(rank_, recvbuf.bytes(), false, recvbuf.addr());
   const double tt0 = wtime();
   Request rreq = co_await irecv_impl(recvbuf, src, rtag, false);
@@ -217,7 +217,7 @@ sim::Task<Status> Comm::probe(Rank src, Tag tag) {
 
 sim::Task<void> Comm::ssend(View buf, Rank dst, Tag tag) {
   if (dst < 0 || dst >= size()) throw std::invalid_argument("bad dest rank");
-  buf = mpi_->canon(rank_, buf);
+  buf = mpi_->canon(buf);
   const bool intra = mpi_->same_node(rank_, dst);
   mpi_->recorder().on_send(rank_, buf.bytes(), false, buf.addr(), intra);
   auto& p = mpi_->proc(rank_);
@@ -225,7 +225,7 @@ sim::Task<void> Comm::ssend(View buf, Rank dst, Tag tag) {
   {
     sim::MpiScope scope(p.cpu());
     p.drain_deferred();
-    auto req = std::make_shared<RequestState>(mpi_->engine_of(rank_),
+    auto req = std::make_shared<RequestState>(mpi_->engine(),
                                             &mpi_->request_ledger());
     SendOp op;
     op.env = Envelope{rank_, dst, tag, buf.bytes()};

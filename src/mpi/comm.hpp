@@ -32,12 +32,9 @@ class Comm {
   sim::Cpu& cpu() const { return mpi_->proc(rank_).cpu(); }
 
   /// Simulated wall-clock in seconds (MPI_Wtime).
-  double wtime() const { return mpi_->engine_of(rank_).now().to_seconds(); }
-  /// Exact simulated time on this rank's engine. Unlike Cluster::now()
-  /// (the max over partition engines, which can trail the last
-  /// application event by PDES teardown bookkeeping) this is an
-  /// application-level timestamp: bit-identical across partition counts.
-  sim::Time now() const { return mpi_->engine_of(rank_).now(); }
+  double wtime() const { return mpi_->engine().now().to_seconds(); }
+  /// Exact simulated time (the job's engine clock).
+  sim::Time now() const { return mpi_->engine().now(); }
 
   /// Application computation for `seconds` (outside MPI: devices without
   /// NIC-side protocol engines cannot make rendezvous progress meanwhile).

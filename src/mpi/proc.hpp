@@ -21,13 +21,9 @@ namespace mns::mpi {
 class Proc {
  public:
   Proc(sim::Engine& eng, Rank rank, int node, int slot)
-      : eng_(&eng), cpu_(eng), host_work_(eng, 1e12), rank_(rank),
-        node_(node), slot_(slot) {}
+      : cpu_(eng), host_work_(eng, 1e12), rank_(rank), node_(node),
+        slot_(slot) {}
 
-  /// The engine this rank's node lives on (its partition's engine under
-  /// PDES execution; the cluster engine otherwise). Event-context work
-  /// for this rank must be spawned here.
-  sim::Engine& engine() { return *eng_; }
   sim::Cpu& cpu() { return cpu_; }
   /// Serializes event-context host work (message delivery processing):
   /// the rank has ONE CPU, so concurrent arrivals queue — this is what
@@ -63,7 +59,6 @@ class Proc {
   std::size_t deferred_pending() const { return deferred_.size(); }
 
  private:
-  sim::Engine* eng_;
   sim::Cpu cpu_;
   model::Pipe host_work_;
   Matcher matcher_;

@@ -1,7 +1,6 @@
 // Non-blocking request handles.
 #pragma once
 
-#include <atomic>  // simlint-allow: threading (cross-partition ledger)
 #include <cstdint>
 #include <memory>
 
@@ -16,31 +15,26 @@ namespace mns::mpi {
 /// finalize every created request must be completed exactly once. The
 /// double-complete count makes the violation visible in every build; in
 /// audit builds the MNS_AUDIT in complete() additionally throws at the
-/// offending call site. Counters are relaxed atomics: ranks on different
-/// PDES partitions report concurrently, and only the finalize-time sums
-/// (read after every thread has parked) are meaningful.
+/// offending call site.
 struct RequestLedger {
-  // simlint-allow: threading
-  std::atomic<std::uint64_t> created{0};
-  // simlint-allow: threading
-  std::atomic<std::uint64_t> completed{0};
-  // simlint-allow: threading
-  std::atomic<std::uint64_t> double_completed{0};
+  std::uint64_t created = 0;
+  std::uint64_t completed = 0;
+  std::uint64_t double_completed = 0;
 };
 
 struct RequestState {
   explicit RequestState(sim::Engine& eng, RequestLedger* ledger = nullptr)
       : trig(eng), ledger(ledger) {
-    if (ledger) ledger->created.fetch_add(1, std::memory_order_relaxed);
+    if (ledger) ++ledger->created;
   }
 
   void complete(const Status& s) {
     MNS_AUDIT(!done, "RequestState completed twice");
     if (ledger) {
       if (done) {
-        ledger->double_completed.fetch_add(1, std::memory_order_relaxed);
+        ++ledger->double_completed;
       } else {
-        ledger->completed.fetch_add(1, std::memory_order_relaxed);
+        ++ledger->completed;
       }
     }
     status = s;

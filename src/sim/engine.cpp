@@ -63,12 +63,8 @@ void Engine::drop_processes() {
   }
   // Pending event payloads capture handles into the frames just
   // destroyed; drop them unrun (~EventFn reclaims boxed closures).
-#if defined(MNS_EVENT_QUEUE_LADDER)
-  ladder_.clear();
-#else
   heap_keys_.clear();
   heap_slots_.clear();
-#endif
   slab_.clear();
   slab_free_.clear();
   slab_seq_.clear();
@@ -84,37 +80,6 @@ void Engine::schedule_future(std::int64_t at_ps, EventFn fn) {
   }
   heap_push(Key::make(at_ps, next_seq_++), std::move(fn));
 }
-
-#if defined(MNS_EVENT_QUEUE_LADDER)
-
-// Ladder policy (-DMNS_EVENT_QUEUE=ladder): same slab parking and slot
-// recycling, different key ordering structure. Keys are unique, so the
-// pop sequence is identical to the heap's and results are bit-identical.
-MNS_HOT std::uint32_t Engine::heap_push(Key key, EventFn fn) {
-  std::uint32_t slot;
-  if (!slab_free_.empty()) {
-    slot = slab_free_.back();
-    slab_free_.pop_back();
-    slab_[slot] = std::move(fn);
-    slab_seq_[slot] = key.seq();
-  } else {
-    slot = static_cast<std::uint32_t>(slab_.size());
-    slab_.push_back(std::move(fn));
-    slab_seq_.push_back(key.seq());
-  }
-  ladder_.push(key, slot);
-  return slot;
-}
-
-MNS_HOT EventFn Engine::heap_pop(Key& key) {
-  const auto e = ladder_.pop();
-  key = e.key;
-  EventFn top = std::move(slab_[e.slot]);
-  slab_free_.push_back(e.slot);
-  return top;
-}
-
-#else  // 4-ary heap (default)
 
 // MNS_HOT: slab and heap arrays grow amortized and reuse free slots; in
 // steady state pushes recycle capacity without touching the allocator.
@@ -204,8 +169,6 @@ MNS_HOT EventFn Engine::heap_pop(Key& key) {
   slab_free_.push_back(top_slot);
   return top;
 }
-
-#endif  // MNS_EVENT_QUEUE_LADDER
 
 // MNS_HOT: roots_ grows amortized; slots are compacted on completion and
 // capacity persists for the lifetime of the engine.
@@ -332,16 +295,6 @@ std::int64_t Engine::next_event_at_ps() {
     MNS_AUDIT(tombstones_ > 0, "tombstone popped with zero outstanding");
     --tombstones_;
   }
-}
-
-bool Engine::step_one() {
-  const bool ran = step();
-  if (failure_) {
-    auto e = failure_;
-    failure_ = nullptr;
-    std::rethrow_exception(e);
-  }
-  return ran;
 }
 
 void Engine::retire(std::coroutine_handle<> h) {

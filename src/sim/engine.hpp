@@ -35,10 +35,6 @@
 #include "sim/time.hpp"
 #include "util/annotations.hpp"
 
-#if defined(MNS_EVENT_QUEUE_LADDER)
-#include "sim/ladder_queue.hpp"
-#endif
-
 namespace mns::audit {
 class AuditReport;
 }
@@ -69,7 +65,7 @@ class EventLimitError : public std::runtime_error {
 /// budget trips), yet the workload makes no forward progress — the classic
 /// shape is an RTO storm retransmitting into a dead link forever. Carries
 /// a human-readable diagnostic report assembled by whoever detected the
-/// livelock (per-flow stages, pending timers, per-partition horizons).
+/// livelock (per-flow stages, pending timers, the engine's horizon).
 class LivelockError : public std::runtime_error {
  public:
   explicit LivelockError(std::string report)
@@ -202,8 +198,7 @@ class EventFn {
 /// ordering test is a single unsigned compare (cmp/sbb, no second branch)
 /// in the queue's compare loops. at_ps is sign-flipped into the high half
 /// so the unsigned order matches the signed (at, seq) lexicographic
-/// order. Public so alternative queue policies (sim/ladder_queue.hpp) can
-/// order the same keys; payloads stay in the engine's slab either way.
+/// order.
 struct EventKey {
   unsigned __int128 packed;
   static EventKey make(std::int64_t at_ps, std::uint64_t seq) noexcept {
@@ -318,12 +313,8 @@ class Engine {
   /// Pre-size the event heap for at least `n` concurrently pending events
   /// (Cluster sizes this from the topology: ranks, NICs, channel depth).
   void reserve_events(std::size_t n) {
-#if defined(MNS_EVENT_QUEUE_LADDER)
-    ladder_.reserve(n);
-#else
     heap_keys_.reserve(n);
     heap_slots_.reserve(n);
-#endif
     slab_.reserve(n);
   }
 
@@ -369,15 +360,8 @@ class Engine {
   /// Earliest pending live event time in picoseconds, or INT64_MAX when
   /// the queue is empty. Purges cancelled tombstones off the queue top
   /// (without counting events or advancing the clock), so the answer
-  /// names an event that will actually run. This is the PDES executor's
-  /// local-virtual-time probe (sim/pdes/).
+  /// names an event that will actually run (run_until's deadline test).
   std::int64_t next_event_at_ps();
-
-  /// Pop and run exactly one event (the step loop of run(), exposed for
-  /// external schedulers that interleave event execution with
-  /// cross-partition delivery). Returns false if the queue is empty.
-  /// Rethrows the first failure escaping a process.
-  bool step_one();
 
   /// Abort run()/run_until() with EventLimitError after this many events
   /// (default: effectively unlimited).
@@ -388,8 +372,7 @@ class Engine {
   /// returns control with the queue intact — crossing this horizon is a
   /// hard failure: it converts a runaway simulation (RTO storm, unbounded
   /// poll) into a clean diagnostic instead of an unbounded wall-clock
-  /// hang. Works identically under the PDES executor, where each
-  /// partition's engine checks its own clock.
+  /// hang.
   void set_time_limit(Time deadline) { time_limit_ps_ = deadline.count_ps(); }
   Time time_limit() const { return Time::ps(time_limit_ps_); }
   bool has_time_limit() const { return time_limit_ps_ != INT64_MAX; }
@@ -427,50 +410,17 @@ class Engine {
   std::uint32_t heap_push(Key key, EventFn fn);
   EventFn heap_pop(Key& key);
 
-  // Queue-policy seam: both policies order the same unique keys, so the
-  // pop sequence — and every simulated result — is policy-invariant.
-  bool queue_empty() const noexcept {
-#if defined(MNS_EVENT_QUEUE_LADDER)
-    return ladder_.empty();
-#else
-    return heap_keys_.empty();
-#endif
-  }
-  std::size_t queue_size() const noexcept {
-#if defined(MNS_EVENT_QUEUE_LADDER)
-    return ladder_.size();
-#else
-    return heap_keys_.size();
-#endif
-  }
+  bool queue_empty() const noexcept { return heap_keys_.empty(); }
+  std::size_t queue_size() const noexcept { return heap_keys_.size(); }
   // Precondition: !queue_empty().
-  Key queue_top_key() {
-#if defined(MNS_EVENT_QUEUE_LADDER)
-    return ladder_.top().key;
-#else
-    return heap_keys_.front();
-#endif
-  }
+  Key queue_top_key() { return heap_keys_.front(); }
   // Precondition: !queue_empty().
-  std::uint32_t queue_top_slot() {
-#if defined(MNS_EVENT_QUEUE_LADDER)
-    return ladder_.top().slot;
-#else
-    return heap_slots_.front();
-#endif
-  }
+  std::uint32_t queue_top_slot() { return heap_slots_.front(); }
 
   bool step();  // pop and run one event; false if queue empty
   void retire(std::coroutine_handle<> h);  // process done: reclaim its frame
   void process_failed(std::exception_ptr e);
 
-#if defined(MNS_EVENT_QUEUE_LADDER)
-  // Alternative future-event queue policy (-DMNS_EVENT_QUEUE=ladder): a
-  // two-rung ladder ordering the same unique (at, seq) keys, so the pop
-  // sequence — and therefore every simulated result — is bit-identical
-  // to the heap. Payloads stay in the slab below in both policies.
-  LadderQueue<Key> ladder_;
-#else
   // The future-event 4-ary min-heap, split structure-of-arrays style: the
   // sift loops compare only keys, so the traversal walks a dense 16-byte
   // array (100k pending events = 1.6 MB of keys) instead of dragging the
@@ -481,7 +431,6 @@ class Engine {
   // cache-warm slab entry.
   std::vector<Key> heap_keys_;
   std::vector<std::uint32_t> heap_slots_;
-#endif
   std::vector<EventFn> slab_;
   std::vector<std::uint32_t> slab_free_;
   // Per-slot seq stamp of the event currently parked there; lets cancel()

@@ -58,12 +58,15 @@ struct Digest {
 
 // Runs a neighbour-exchange job (each rank sends one eager and one
 // rendezvous message to its right neighbour and receives both from its
-// left) under the seed's fault plan. Called from SweepRunner worker
+// left) under the seed's fault plan (or none when `faulted` is false),
+// optionally on the express message path. Called from SweepRunner worker
 // threads, so it must not touch gtest macros — invariant failures are
 // folded into the digest's trailing violation count instead.
-Digest run_point(cluster::Net net, std::uint64_t seed) {
+Digest run_point(cluster::Net net, std::uint64_t seed, bool faulted = true,
+                 bool express = false) {
   cluster::ClusterConfig cfg{.nodes = kNodes, .net = net};
-  cfg.faults = plan_for(seed);
+  cfg.express = express;
+  if (faulted) cfg.faults = plan_for(seed);
   cluster::Cluster c(cfg);
   const auto ranks = static_cast<std::size_t>(c.ranks());
   std::vector<std::vector<mpi::Status>> st(ranks);
@@ -535,5 +538,36 @@ TEST(Chaos, SweepOf64SeedsIsDeterministicAcrossRerunsAndJobs) {
   for (std::size_t i = 0; i < serial.size(); ++i) {
     EXPECT_EQ(serial[i], rerun[i]) << "rerun diverged at point " << i;
     EXPECT_EQ(serial[i], threaded[i]) << "--jobs=4 diverged at point " << i;
+  }
+}
+
+// Express x faults: 64 seeds with the fault plan and the express path
+// crossed by seed phase (all four combinations 16 times each). Every
+// point holds its invariants, the drop plans really drive the recovery
+// machine, and the sweep is bit-identical across reruns and --jobs.
+TEST(Chaos, ExpressAndFaultsAreDeterministicAcrossRerunsAndJobs) {
+  constexpr std::size_t kSeeds = 64;
+  auto sweep = [&](int jobs) {
+    sweep::SweepRunner runner(jobs);
+    return runner.run_indexed(kSeeds, [](std::size_t i) {
+      const std::uint64_t seed = 1 + i;
+      return run_point(kAllNets[seed % 3], seed, /*faulted=*/seed % 2 == 0,
+                       /*express=*/(seed / 2) % 2 == 0);
+    });
+  };
+  const std::vector<Digest> serial = sweep(1);
+  std::uint64_t retransmitted = 0;
+  for (std::size_t i = 0; i < serial.size(); ++i) {
+    ASSERT_FALSE(serial[i].words.empty());
+    EXPECT_EQ(serial[i].words.back(), 0u) << "violations at seed " << 1 + i;
+    // words[-4] is packets_retransmitted (see run_point's layout).
+    retransmitted += serial[i].words[serial[i].words.size() - 4];
+  }
+  EXPECT_GT(retransmitted, 0u) << "no drop plan fired an RTO; vacuous";
+  const std::vector<Digest> rerun = sweep(1);
+  const std::vector<Digest> threaded = sweep(4);
+  for (std::size_t i = 0; i < serial.size(); ++i) {
+    EXPECT_EQ(serial[i], rerun[i]) << "rerun diverged at seed " << 1 + i;
+    EXPECT_EQ(serial[i], threaded[i]) << "--jobs=4 diverged at seed " << 1 + i;
   }
 }

@@ -10,7 +10,6 @@
 
 #include "audit/report.hpp"
 #include "sim/engine.hpp"
-#include "sim/ladder_queue.hpp"
 #include "sim/task.hpp"
 #include "sim/time.hpp"
 
@@ -431,8 +430,7 @@ TEST(Engine, PopOrderPropertyUnderRandomizedSchedules) {
 }
 
 // ---------------------------------------------------------------------------
-// next_event_at_ps / step_one: the single-stepping surface the PDES
-// executor drives the engine through.
+// next_event_at_ps: the queue-head probe run_until's deadline test uses.
 
 TEST(EngineStep, NextEventTimeReportsQueueHead) {
   Engine eng;
@@ -440,11 +438,10 @@ TEST(EngineStep, NextEventTimeReportsQueueHead) {
   eng.after(Time::us(3), [] {});
   eng.after(Time::us(1), [] {});
   EXPECT_EQ(eng.next_event_at_ps(), Time::us(1).count_ps());
-  EXPECT_TRUE(eng.step_one());
+  EXPECT_FALSE(eng.run_until(Time::us(2)));
   EXPECT_EQ(eng.next_event_at_ps(), Time::us(3).count_ps());
-  EXPECT_TRUE(eng.step_one());
+  EXPECT_TRUE(eng.run_until(Time::us(3)));
   EXPECT_EQ(eng.next_event_at_ps(), INT64_MAX);
-  EXPECT_FALSE(eng.step_one());
 }
 
 TEST(EngineStep, NextEventTimePurgesTombstones) {
@@ -457,7 +454,7 @@ TEST(EngineStep, NextEventTimePurgesTombstones) {
   ASSERT_TRUE(eng.cancel(b));
   // The two cancelled heads must be skipped, not reported.
   EXPECT_EQ(eng.next_event_at_ps(), Time::us(5).count_ps());
-  EXPECT_TRUE(eng.step_one());
+  EXPECT_TRUE(eng.run_until(Time::us(5)));
   EXPECT_EQ(ran, 1);
 }
 
@@ -470,12 +467,6 @@ TEST(EngineStep, NowQueueEventsReportCurrentTime) {
   });
   eng.run();
   EXPECT_EQ(seen, Time::us(2).count_ps());
-}
-
-TEST(EngineStep, StepOneRethrowsHandlerFailure) {
-  Engine eng;
-  eng.after(Time::us(1), [] { throw std::runtime_error("boom"); });
-  EXPECT_THROW(eng.step_one(), std::runtime_error);
 }
 
 // Regression: a cancelled event sitting at the queue head inside the
@@ -493,70 +484,6 @@ TEST(Engine, RunUntilIgnoresCancelledHeadAtDeadline) {
   EXPECT_FALSE(late_ran) << "event beyond the deadline executed";
   EXPECT_TRUE(eng.run_until(Time::us(30)));
   EXPECT_TRUE(late_ran);
-}
-
-// ---------------------------------------------------------------------------
-// LadderQueue: property-checked against a sorted reference under
-// randomized interleavings of pushes and pops, including full drains
-// (stale-boundary paths) and same-time keys distinguished only by seq.
-// Compiled directly so the policy is covered even in heap-policy builds.
-
-TEST(LadderQueue, MatchesSortedReferenceUnderRandomizedTraffic) {
-  std::mt19937_64 rng(0xBADCAFE);
-  for (int round = 0; round < 20; ++round) {
-    LadderQueue<EventKey> lq;
-    std::vector<EventKey> ref_keys;
-    std::vector<std::uint32_t> ref_slots;
-    std::uint64_t seq = 0;
-    std::int64_t clock = 0;
-    std::size_t popped = 0;
-    auto ref_min = [&]() -> std::size_t {
-      std::size_t best = SIZE_MAX;
-      for (std::size_t i = 0; i < ref_keys.size(); ++i) {
-        if (ref_slots[i] == UINT32_MAX) continue;
-        if (best == SIZE_MAX || ref_keys[i].before(ref_keys[best])) best = i;
-      }
-      return best;
-    };
-    for (int op = 0; op < 2000; ++op) {
-      const bool do_push = lq.empty() || rng() % 5 != 0;
-      if (do_push) {
-        // Mix monotone far-future pushes, near-horizon inserts, and
-        // same-instant keys (seq tie-break only).
-        const std::uint64_t r = rng();
-        const std::int64_t at =
-            clock + static_cast<std::int64_t>(r % 4 == 0 ? 0 : r % 10'000);
-        const EventKey k = EventKey::make(at, seq++);
-        const auto slot = static_cast<std::uint32_t>(op);
-        lq.push(k, slot);
-        ref_keys.push_back(k);
-        ref_slots.push_back(slot);
-      } else {
-        const int burst = 1 + static_cast<int>(rng() % 7);
-        for (int i = 0; i < burst && !lq.empty(); ++i) {
-          const auto e = lq.pop();
-          const std::size_t want = ref_min();
-          ASSERT_NE(want, SIZE_MAX);
-          ASSERT_FALSE(e.key.before(ref_keys[want]) ||
-                       ref_keys[want].before(e.key))
-              << "pop key mismatch (round " << round << " op " << op << ")";
-          ASSERT_EQ(e.slot, ref_slots[want]);
-          ref_slots[want] = UINT32_MAX;
-          clock = e.key.at_ps();  // future pushes never precede pops
-          ++popped;
-        }
-      }
-    }
-    while (!lq.empty()) {
-      const auto e = lq.pop();
-      const std::size_t want = ref_min();
-      ASSERT_NE(want, SIZE_MAX);
-      ASSERT_EQ(e.slot, ref_slots[want]);
-      ref_slots[want] = UINT32_MAX;
-      ++popped;
-    }
-    ASSERT_EQ(popped, ref_keys.size()) << "round " << round;
-  }
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
-// known-bad: mutable statics shared across engines. A partitioned (PDES)
-// run would race on them or silently diverge; the audit reports each one
-// with the handlers that reach it.
+// known-bad: mutable statics shared across engines. Simulations running
+// concurrently on SweepRunner (--jobs) threads would race on them or
+// silently diverge; the audit reports each one with the handlers that
+// reach it.
 #include <cstdint>
 
 #include "fixture_prelude.hpp"

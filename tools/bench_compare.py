@@ -19,7 +19,7 @@ the gate must not block adding it. Retired ones (BASELINE only) are
 reported but never fail either. --require NAME_REGEX (repeatable) is
 satisfied by any CURRENT benchmark with a usable items/s counter,
 including brand-new ones: load-bearing benchmarks (e.g.
-BM_RetransmitStorm, or a freshly added BM_PdesSweep3D64) must be
+BM_RetransmitStorm, or a freshly added benchmark) must be
 present in the candidate report, whether or not the baseline knows
 them yet.
 

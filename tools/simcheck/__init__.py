@@ -23,13 +23,15 @@ regexes cannot express:
                    allocation boundary (slab refill, amortized heap growth)
                    carry the MNS_HOT annotation: their own body is exempt,
                    their callees are still checked.
-  pdes-static      PDES-readiness audit: every namespace-scope/static/
-                   thread_local variable, classified (mutable / per-thread
-                   / const-after-init), with the set of event handlers that
-                   can reach it. Emitted as simcheck_state.json — the
-                   shared-state worklist the partitioned-engine work will
-                   consume. Mutable shared statics are findings; per-thread
-                   and const-after-init state is reported but legal.
+  pdes-static      Shared-state audit for SweepRunner (--jobs) threads,
+                   which run independent simulations concurrently: every
+                   namespace-scope/static/thread_local variable, classified
+                   (mutable / per-thread / const-after-init), with the set
+                   of event handlers that can reach it. Emitted as
+                   simcheck_state.json. Mutable shared statics reachable
+                   from a handler race across simulations and are
+                   findings; per-thread and const-after-init state is
+                   reported but legal.
 
 Two interchangeable frontends feed the same IR:
 

@@ -33,7 +33,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--frontend", choices=("auto", "clang", "fallback"),
                    default="auto")
     p.add_argument("--state-json", type=Path, default=None,
-                   help="write the PDES state inventory here")
+                   help="write the shared-state inventory here")
     p.add_argument("--findings-json", type=Path, default=None,
                    help="write findings as JSON (for the fixture driver)")
     p.add_argument("--hot-root", action="append", default=[],

@@ -17,12 +17,6 @@ from .model import Finding, Function, SourceModel
 DEFAULT_HOT_ROOTS = [
     r"NetFabric::(flow_step|deliver|lose_packet|arm_rto|resend_lost|"
     r"fail_flow|rto_delay|replay_flow|maybe_release|release_flow)$",
-    # Split-flow wire handlers: these run on the RECEIVING partition's
-    # engine thread (dispatched by FabricExecutor), so any static they
-    # reach is shared across partition threads, not just across engines.
-    r"NetFabric::(wire_handle|wire_open|wire_enter|wire_loss|wire_land|"
-    r"wire_close|launch_boundary_packet|finish_boundary_delivery)$",
-    r"FabricExecutor::(dispatch|deliver_batch|drain|loop)$",
     r"MsgFlow::thunk$",
     r"Injector::(packet_verdict|reg_should_fail)$",
     r"Engine::step$",
@@ -316,7 +310,7 @@ def rule_coro_ref_escape(sm: SourceModel) -> list[Finding]:
     return out
 
 
-# -- rule 5: PDES-readiness static audit ------------------------------------
+# -- rule 5: shared-static audit (SweepRunner threads) ----------------------
 
 def pdes_audit(sm: SourceModel,
                hot_roots: list[str] | None = None
@@ -357,7 +351,7 @@ def pdes_audit(sm: SourceModel,
             cls = "mutable-shared"
             sev = "error"
         allowed = sm.allowed("pdes-state", sv.file, sv.line)
-        # Gating = the PDES hazard is live: a mutable shared static an
+        # Gating = the --jobs hazard is live: a mutable shared static an
         # event handler can actually reach, with no allow annotation.
         gating = (cls == "mutable-shared" and bool(reached_by)
                   and not allowed)
@@ -376,8 +370,9 @@ def pdes_audit(sm: SourceModel,
                     rule="pdes-static", file=sv.file, line=sv.line,
                     message=f"mutable {sv.kind.replace('_', ' ')} "
                             f"'{sv.qname}' is shared sim state reachable "
-                            "from an event handler; a partitioned (PDES) "
-                            "run would race or diverge on it. Move it "
+                            "from an event handler; simulations running "
+                            "concurrently on SweepRunner (--jobs) threads "
+                            "would race or diverge on it. Move it "
                             "into an engine-owned object, make it const "
                             "or thread_local, or annotate the line above "
                             "with 'simcheck-allow: pdes-state' and a "
@@ -390,15 +385,16 @@ def pdes_audit(sm: SourceModel,
                     message=f"mutable {sv.kind.replace('_', ' ')} "
                             f"'{sv.qname}' is shared state no event "
                             "handler currently reaches — inventory only, "
-                            "but it becomes a gating PDES hazard the "
+                            "but it becomes a gating --jobs hazard the "
                             "moment a handler path touches it.",
                     chain=""))
         elif cls == "per-thread":
             findings.append(Finding(
                 rule="pdes-static", file=sv.file, line=sv.line,
                 severity="info",
-                message=f"thread_local '{sv.qname}' is PDES-safe by "
-                        "partitioning but must stay per-engine if "
+                message=f"thread_local '{sv.qname}' is safe across "
+                        "SweepRunner threads (each simulation runs on "
+                        "one thread) but must stay per-engine if "
                         "engines ever share a thread.",
                 chain=", ".join(reached_by)))
     return findings, inventory

@@ -125,13 +125,10 @@ PATTERN_RULES = [
         ),
         "threading primitive in simulator code; a simulation is "
         "single-threaded by contract — parallelism belongs between "
-        "simulations (src/sweep/) or between conservatively synchronized "
-        "partitions (src/sim/pdes/) only",
-        # The two places allowed to touch threads: the between-simulations
-        # sweep runner, and the conservative PDES executor whose channel /
-        # LBTS protocol keeps results bit-identical to sequential (see
-        # each header for why determinism survives).
-        exempt_dirs=frozenset({"sweep", "pdes"}),
+        "simulations (src/sweep/) only",
+        # The one place allowed to touch threads: the between-simulations
+        # sweep runner.
+        exempt_dirs=frozenset({"sweep"}),
     ),
     Rule(
         "stdout",
