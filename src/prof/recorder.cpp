@@ -56,7 +56,7 @@ void Recorder::on_collective(int rank, const std::string& op,
   st.sent.add(bytes);  // Table 1 counts collective calls by buffer size
   st.total_bytes += bytes;
   st.collective_bytes += bytes;
-  ++coll_ops_[static_cast<std::size_t>(rank)][op];
+  ++coll_ops_[op];
   touch_buffer(st, addr, bytes);
 }
 
