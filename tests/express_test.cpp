@@ -13,6 +13,7 @@
 #include <array>
 #include <cstdint>
 #include <memory>
+#include <ostream>
 #include <utility>
 #include <vector>
 
@@ -163,6 +164,12 @@ struct Scenario {
   FabKind kind;
   TrafficCfg cfg;
 };
+
+// Without this gtest prints the parameter as raw bytes, the first of them
+// the `name` pointer, and ctest registers that text as part of the test
+// name; under ASLR the names would change from one test discovery to the
+// next.
+void PrintTo(const Scenario& s, std::ostream* os) { *os << s.name; }
 
 class ExpressEquivalence : public ::testing::TestWithParam<Scenario> {};
 
