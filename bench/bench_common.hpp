@@ -36,12 +36,6 @@ struct Output {
   // whole machine). Output is bit-identical for every N; see
   // sweep/sweep_runner.hpp.
   int jobs = 1;
-  // --express: opt into the fabric's express message path for the app
-  // harnesses (run_app). Wall-clock only by intent, but contended
-  // collectives can shift same-instant event order and drift simulated
-  // time by microseconds — published artifacts are generated without it
-  // (see ClusterConfig::express).
-  bool express = false;
   // --seed N / --faults SPEC: deterministic chaos harness (src/fault).
   // Published artifacts are generated without --faults; with it, packet
   // drops/corruption, link flaps, NIC stalls and registration failures
@@ -84,7 +78,6 @@ inline Output parse_output(int argc, char** argv) {
     util::Flags flags(argc, argv);
     out.csv = flags.get_bool("csv", false);
     out.jobs = static_cast<int>(flags.get_int("jobs", 1));
-    out.express = flags.get_bool("express", false);
     const bool seed_given = flags.has("seed");
     out.seed = flags.get_uint("seed", 1);
     out.max_sim_time =
@@ -154,11 +147,10 @@ inline util::Table series_table(
 inline double run_app(const std::string& name, cluster::Net net,
                       std::size_t nodes, int ppn = 1,
                       cluster::Bus bus = cluster::Bus::kDefault,
-                      bool express = false,
                       const fault::FaultPlan& faults = {}) {
   cluster::ClusterConfig cfg{
       .nodes = nodes, .ppn = ppn, .net = net, .bus = bus,
-      .express = express, .faults = faults,
+      .faults = faults,
       .max_sim_time = guard_sim_time()};
   cluster::Cluster c(cfg);
   const auto& spec = apps::find_app(name);

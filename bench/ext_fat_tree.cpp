@@ -32,11 +32,17 @@ double app_secs(const char* app, std::size_t nodes, std::size_t radix) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  util::Flags flags(argc, argv);
-  const bool big = flags.get_bool("big", false);
+  bool big = false;
   Output out;
-  out.csv = flags.get_bool("csv", false);
-  flags.reject_unknown();
+  // CLI boundary: a malformed or unknown flag exits 2 with one clear line.
+  const int rc = util::run_cli([&] {
+    util::Flags flags(argc, argv);
+    big = flags.get_bool("big", false);
+    out.csv = flags.get_bool("csv", false);
+    flags.reject_unknown();
+    return 0;
+  });
+  if (rc != 0) return rc;
   util::Table t({"app", "nodes", "crossbar_s", "fattree8_s", "penalty_pct"});
   const std::vector<std::size_t> node_counts =
       big ? std::vector<std::size_t>{32, 64} : std::vector<std::size_t>{32};

@@ -13,7 +13,7 @@ int main(int argc, char** argv) {
   const auto secs = sweep_indexed(out, 6, [&](std::size_t i) {
     const std::string app = i / 3 == 0 ? "is" : "mg";
     return run_app(app, kAllNets[i % 3], 8, 1, cluster::Bus::kDefault,
-                   out.express, out.faults);
+                   out.faults);
   });
   for (std::size_t r = 0; r < 2; ++r) {
     t.row()

@@ -14,7 +14,7 @@ int main(int argc, char** argv) {
   const Row rows[] = {Row{"sp", 4}, Row{"bt", 4}, Row{"lu", 8}};
   const auto secs = sweep_indexed(out, 9, [&](std::size_t i) {
     return run_app(rows[i / 3].app, kAllNets[i % 3], rows[i / 3].nodes, 1,
-                   cluster::Bus::kDefault, out.express, out.faults);
+                   cluster::Bus::kDefault, out.faults);
   });
   for (std::size_t r = 0; r < 3; ++r) {
     t.row()

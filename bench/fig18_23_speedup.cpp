@@ -11,12 +11,9 @@ int main(int argc, char** argv) {
                  "ideal_8"});
   for (const char* app : {"is", "cg", "mg", "lu", "s3d50", "s3d150"}) {
     for (auto net : kAllNets) {
-      const double t2 = run_app(app, net, 2, 1, cluster::Bus::kDefault,
-                                out.express);
-      const double t4 = run_app(app, net, 4, 1, cluster::Bus::kDefault,
-                                out.express);
-      const double t8 = run_app(app, net, 8, 1, cluster::Bus::kDefault,
-                                out.express);
+      const double t2 = run_app(app, net, 2);
+      const double t4 = run_app(app, net, 4);
+      const double t8 = run_app(app, net, 8);
       t.row()
           .add(std::string(app))
           .add(std::string(cluster::net_name(net)))

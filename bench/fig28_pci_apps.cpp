@@ -15,20 +15,18 @@ int main(int argc, char** argv) {
                 Row{"ft", 8}, Row{"sp", 4}, Row{"bt", 4}}) {
     const double x =
         run_app(r.app, cluster::Net::kInfiniBand, r.nodes, 1,
-                cluster::Bus::kPcix133, out.express);
+                cluster::Bus::kPcix133);
     const double p =
         run_app(r.app, cluster::Net::kInfiniBand, r.nodes, 1,
-                cluster::Bus::kPci66, out.express);
+                cluster::Bus::kPci66);
     t.row()
         .add(std::string(r.app))
         .add(static_cast<std::uint64_t>(r.nodes))
         .add(x, 2)
         .add(p, 2)
         .add((p - x) / x * 100.0, 1)
-        .add(run_app(r.app, cluster::Net::kMyrinet, r.nodes, 1,
-                     cluster::Bus::kDefault, out.express), 2)
-        .add(run_app(r.app, cluster::Net::kQuadrics, r.nodes, 1,
-                     cluster::Bus::kDefault, out.express), 2);
+        .add(run_app(r.app, cluster::Net::kMyrinet, r.nodes), 2)
+        .add(run_app(r.app, cluster::Net::kQuadrics, r.nodes), 2);
   }
   out.emit("Fig 28: IBA class B, PCI vs PCI-X (seconds) | paper: average "
            "degradation <5%; IS/FT/CG on PCI still match or beat "

@@ -81,12 +81,8 @@ BENCHMARK(BM_MpiLatencySim)->Unit(benchmark::kMillisecond);
 
 // Message data path, fabric level: an uncontended ping-pong stream of
 // 64 KB messages over the IB model (32 MTU packets each), every message
-// posted as the previous one lands. Arg 0 forces the pooled packet state
-// machine; Arg 1 enables the express closed-form path — the intended
-// steady state, expected >= 2x the packet machine's message throughput.
-// Simulated timing is bit-identical between the two.
+// posted as the previous one lands — the pooled packet state machine.
 static void BM_MessagePathStream(benchmark::State& state) {
-  const bool express = state.range(0) != 0;
   constexpr int kMsgs = 2000;
   for (auto _ : state) {
     sim::Engine eng;
@@ -94,7 +90,6 @@ static void BM_MessagePathStream(benchmark::State& state) {
     model::NodeHw b(eng, model::pcix_133(), model::xeon_2003_memcpy());
     std::vector<model::NodeHw*> nodes{&a, &b};
     ib::IbFabric fab(eng, nodes, ib::default_ib_config(2));
-    fab.set_express(express);
     int left = kMsgs;
     std::function<void()> bounce = [&] {
       if (--left == 0) return;
@@ -116,15 +111,11 @@ static void BM_MessagePathStream(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * kMsgs);
 }
-BENCHMARK(BM_MessagePathStream)->Arg(0)->Arg(1)
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_MessagePathStream)->Unit(benchmark::kMillisecond);
 
 // Same data path under fan-in contention: two senders stream into one
-// receiver, so express launches keep getting demoted back to packet
-// granularity. Tracks the demotion overhead (Arg 1) against the plain
-// packet machine (Arg 0).
+// receiver, so their packets interleave on the receiver's pipes.
 static void BM_MessagePathContended(benchmark::State& state) {
-  const bool express = state.range(0) != 0;
   constexpr int kPerStream = 1000;
   for (auto _ : state) {
     sim::Engine eng;
@@ -133,7 +124,6 @@ static void BM_MessagePathContended(benchmark::State& state) {
     model::NodeHw c(eng, model::pcix_133(), model::xeon_2003_memcpy());
     std::vector<model::NodeHw*> nodes{&a, &b, &c};
     ib::IbFabric fab(eng, nodes, ib::default_ib_config(3));
-    fab.set_express(express);
     int left[2] = {kPerStream, kPerStream};
     std::function<void()> repost[2];
     for (int s = 0; s < 2; ++s) {
@@ -158,8 +148,7 @@ static void BM_MessagePathContended(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * 2 * kPerStream);
 }
-BENCHMARK(BM_MessagePathContended)->Arg(0)->Arg(1)
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_MessagePathContended)->Unit(benchmark::kMillisecond);
 
 // Recovery-path hot loop: the same fabric-level bounce stream as
 // BM_MessagePathStream, but with a 20% deterministic drop rate on the

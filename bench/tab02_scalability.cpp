@@ -28,8 +28,7 @@ int main(int argc, char** argv) {
     const std::size_t col = (i % 9) / 3;
     const std::size_t k = i % 3;
     if (row.v[col * 3 + k] < 0) return -1.0;  // FT does not fit on 2 nodes
-    return run_app(row.app, kAllNets[col], std::size_t{2} << k, 1,
-                   cluster::Bus::kDefault, out.express);
+    return run_app(row.app, kAllNets[col], std::size_t{2} << k);
   });
   for (std::size_t a = 0; a < napps; ++a) {
     const auto& row = paper[a];

@@ -78,7 +78,6 @@ Cluster::Cluster(const ClusterConfig& cfg) : cfg_(cfg) {
       mpi::RdvChannelConfig cc = mpi::default_ch_ib_config();
       if (cfg_.tweak_channel) cfg_.tweak_channel(cc);
       ib_ = std::make_unique<ib::IbFabric>(engine_, node_ptrs, ib_cfg);
-      ib_->set_express(cfg_.express);
       mpi_->set_device(mpi::make_ch_ib(*mpi_, *ib_, cc));
       break;
     }
@@ -88,7 +87,6 @@ Cluster::Cluster(const ClusterConfig& cfg) : cfg_(cfg) {
       mpi::RdvChannelConfig cc = mpi::default_ch_gm_config();
       if (cfg_.tweak_channel) cfg_.tweak_channel(cc);
       gm_ = std::make_unique<gm::GmFabric>(engine_, node_ptrs, gm_cfg);
-      gm_->set_express(cfg_.express);
       mpi_->set_device(mpi::make_ch_gm(*mpi_, *gm_, cc));
       break;
     }
@@ -99,7 +97,6 @@ Cluster::Cluster(const ClusterConfig& cfg) : cfg_(cfg) {
       if (cfg_.tweak_elan_channel) cfg_.tweak_elan_channel(cc);
       elan_ = std::make_unique<elan::ElanFabric>(engine_, node_ptrs,
                                                  elan_cfg);
-      elan_->set_express(cfg_.express);
       mpi_->set_device(mpi::make_ch_elan(*mpi_, *elan_, cc));
       break;
     }

@@ -48,19 +48,6 @@ struct ClusterConfig {
   int ppn = 1;  // processes per node (paper: 1, or 2 for SMP mode)
   Net net = Net::kInfiniBand;
   Bus bus = Bus::kDefault;
-  // Opt-in: let the fabric collapse provably-uncontended messages into
-  // closed-form express completions (see netfabric.hpp). Timing of every
-  // individual flow is bit-identical to the packet machine, but a
-  // demotion after the launch window re-schedules the flow's pending
-  // event from the demoter's handler, which can flip the order of
-  // SAME-INSTANT events against the packet path. Raw fabric traffic
-  // never observes that order; full MPI runs do (completion callbacks
-  // feed back into posting), so contended collectives can drift by
-  // microseconds. Off by default so figure/table artifacts are exactly
-  // reproducible; turn on for wall-clock speed when bit-exactness across
-  // the express toggle is not required.
-  bool express = false;
-
   /// Requested partition count: an accepted, always-sequential request.
   /// Every cluster runs on one engine; a value in [1, nodes] is accepted
   /// and runs exactly like 1 (effective_partitions() reports 1), any

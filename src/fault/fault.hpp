@@ -66,8 +66,8 @@ struct FlapSpec {
 };
 
 /// At `at`, the node's NIC stops moving data for `duration` (both tx and
-/// rx DMA engines stall). Modelled as pipe occupancy, so it also breaks
-/// express-path claims and forces demotion of in-flight express flows.
+/// rx DMA engines stall). Modelled as pipe occupancy, so packets queue
+/// behind the stall in FIFO order like behind any other transfer.
 struct NicStallSpec {
   int node = 0;
   sim::Time at;
@@ -182,9 +182,8 @@ class Injector {
   Injector(const FaultPlan& plan, std::size_t nodes);
 
   /// True if any fault (drop, corrupt, flap or permanent down) is
-  /// configured on the link, at any time. Pure — used by the fabric to
-  /// veto the express path for the flow up front, keeping the decision
-  /// time-independent.
+  /// configured on the link, at any time. Pure — the fabric decides once
+  /// per message whether the flow consults the per-packet verdicts.
   bool link_armed(int src, int dst) const {
     if (src == dst) return false;  // loopback bypasses the wire
     const Link& l = link(src, dst);

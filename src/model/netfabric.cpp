@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <coroutine>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -22,17 +21,8 @@ namespace mns::model {
 // Each event word packs (stage kind, packet index); the flow object holds
 // everything a packet_tail coroutine used to capture, and is recycled
 // through a freelist once delivered (audited empty-at-finalize).
-//
-// Express mode: the whole trajectory is applied to the pipes in one
-// closed-form replay at launch (replay_flow(materialize=false)); only the
-// three terminal events (kExFetch / kExLocal / kExDeliver) are scheduled,
-// and every touched pipe carries a claim. A competing reservation inside
-// the claimed window demotes the flow: pipes are rolled back to their
-// pre-claim snapshots and replay_flow(materialize=true) re-applies history
-// up to now() and schedules real packet-machine events for the remainder —
-// bit-identical timing to having run at packet granularity all along.
 // ---------------------------------------------------------------------------
-struct NetFabric::MsgFlow final : Pipe::ClaimOwner {
+struct NetFabric::MsgFlow {
   explicit MsgFlow(NetFabric& fab) : fab_(&fab) {}
 
   NetFabric* fab_;
@@ -46,6 +36,7 @@ struct NetFabric::MsgFlow final : Pipe::ClaimOwner {
   std::uint64_t packets_left_tx = 0;
   std::uint64_t packets_left = 0;
   bool first_packet = true;
+  bool local_fired = false;  // eager local_complete already delivered
 
   // Recovery-machine state (all dormant unless `faulted`). The chunk plan
   // caps messages at 64 packets, so one word of bits identifies the lost /
@@ -71,33 +62,10 @@ struct NetFabric::MsgFlow final : Pipe::ClaimOwner {
   Pipe* rx = nullptr;
   Pipe* dst_bus = nullptr;
 
-  // Express-path state.
-  bool express = false;
-  bool demoted = false;
-  bool local_fired = false;      // eager local_complete already delivered
-  bool delivered_done = false;
-  bool ex_fetch_fired = false;
-  bool ex_local_scheduled = false;
-  bool ex_local_fired = false;
-  bool ex_arm_fired = false;
-  bool replay_deferred = false;  // demoted before the arm; arm restarts
-  int stale_events = 0;          // scheduled express events now obsolete
-  sim::Time launch_time;
-  std::coroutine_handle<> sender;  // sender_loop parked on the fetch gate
-
-  struct ClaimRec {
-    Pipe* pipe;
-    Pipe::State snap;     // pre-claim state, restored on demotion
-    std::uint64_t epoch;  // pipe epoch right after the bulk apply
-  };
-  std::vector<ClaimRec> claims;  // capacity persists across recycles
-  sim::Time ex_deliver;  // express delivery instant (claim expiry)
-
   MsgFlow* next_free = nullptr;
 
   // Completion-event kinds; the event word is kind | (packet << 8).
   enum Kind : std::uint8_t {
-    kFetch,     // host-bus fetch done (post-demotion closed loop only)
     kLaunch,    // zero-delay launch after fetch (mirrors the old spawn)
     kTx,        // sender NIC injection done
     kSrcStage,  // source staging done
@@ -108,10 +76,6 @@ struct NetFabric::MsgFlow final : Pipe::ClaimOwner {
     kRxProc,    // shared-processor rx setup done
     kRx,        // receiver NIC delivery done
     kBus,       // destination host-bus DMA done
-    kExFetch,   // express: last fetch done -> wake sender
-    kExLocal,   // express: last byte left sender NIC -> eager completion
-    kExDeliver, // express: last byte in remote memory
-    kExArm,     // express: packet-0 fetch instant (demotion re-entry point)
     kRto,       // recovery: retransmission timeout fired
     // One fused relaunch for a whole resend round (resend_mask holds the
     // packets). Replaces the contiguous block of same-instant kLaunch
@@ -131,22 +95,10 @@ struct NetFabric::MsgFlow final : Pipe::ClaimOwner {
     f->fab_->flow_step(*f, reinterpret_cast<std::uintptr_t>(b));
   }
 
-  void claim_broken() override { fab_->demote(*this); }
-
   std::uint64_t pkt_bytes(std::uint64_t p) const {
     if (msg.bytes == 0) return 0;
     return p + 1 < packets ? chunk : msg.bytes - chunk * (packets - 1);
   }
-
-  /// Awaited by sender_loop while an express flow owns the fetch chain;
-  /// resumed inside the last fetch-completion event, exactly where the
-  /// closed-loop `co_await bus.dma(...)` used to resume it.
-  struct FetchGate {
-    MsgFlow& f;
-    bool await_ready() const noexcept { return false; }
-    void await_suspend(std::coroutine_handle<> h) { f.sender = h; }
-    void await_resume() const noexcept {}
-  };
 };
 
 NetFabric::NetFabric(sim::Engine& eng, std::vector<NodeHw*> nodes,
@@ -205,7 +157,6 @@ Pipe* NetFabric::staging_pipe(int, const NetMsg&) { return nullptr; }
 void NetFabric::on_posted(const NetMsg&) {}
 void NetFabric::on_delivered(const NetMsg&) {}
 void NetFabric::on_aborted(const NetMsg&) {}
-bool NetFabric::express_rx_ok(const NetMsg&) const { return true; }
 void NetFabric::on_link_failed(int, int) {}
 sim::Time NetFabric::degrade_delay(const NetMsg&, int) const {
   return sim::Time::zero();
@@ -302,14 +253,8 @@ void NetFabric::release_flow(MsgFlow& f) {
   --flows_active_;
   f.in_use = false;
   f.msg = NetMsg{};  // drop per-message closures eagerly
-  f.claims.clear();
-  f.sender = {};
   f.next_free = free_list_;
   free_list_ = &f;
-}
-
-void NetFabric::maybe_release(MsgFlow& f) {
-  if (f.delivered_done && f.stale_events == 0) release_flow(f);
 }
 
 void NetFabric::init_flow(MsgFlow& f, NetMsg msg) {
@@ -320,17 +265,7 @@ void NetFabric::init_flow(MsgFlow& f, NetMsg msg) {
   f.packets_left_tx = plan.packets;
   f.packets_left = plan.packets;
   f.first_packet = true;
-  f.express = false;
-  f.demoted = false;
   f.local_fired = false;
-  f.delivered_done = false;
-  f.ex_fetch_fired = false;
-  f.ex_local_scheduled = false;
-  f.ex_local_fired = false;
-  f.ex_arm_fired = false;
-  f.replay_deferred = false;
-  f.stale_events = 0;
-  f.sender = {};
   f.fetching = false;
   f.rto_armed = false;
   f.lost = 0;
@@ -352,41 +287,6 @@ void NetFabric::init_flow(MsgFlow& f, NetMsg msg) {
                             : nullptr;
   f.rx = rx_[static_cast<std::size_t>(dst)].get();
   f.dst_bus = &nodes_[static_cast<std::size_t>(dst)]->bus().pipe();
-
-  f.claims.clear();
-  auto add = [&f](Pipe* p) {
-    if (p == nullptr) return;
-    for (const auto& rec : f.claims) {
-      if (rec.pipe == p) return;
-    }
-    f.claims.push_back({p, {}, 0});
-  };
-  add(f.src_bus);
-  add(f.tx);
-  add(f.stage_src);
-  for (int h = 0; h < f.nhops; ++h) add(f.hops[h]);
-  add(f.stage_dst);
-  add(f.nic_rx_proc);
-  add(f.rx);
-  add(f.dst_bus);
-}
-
-bool NetFabric::can_express(const MsgFlow& f) {
-  if (!express_enabled_) return false;
-  // A faulted packet must run the packet machine (per-packet verdicts and
-  // retransmissions have no closed form), so flows on an armed link are
-  // vetoed up front — link_armed is pure, keeping the decision
-  // time-independent and deterministic.
-  if (f.faulted) return false;
-  // Loopback skips the switch and may hit the same pipes twice in one
-  // chain; not worth proving exclusivity for.
-  if (f.msg.src == f.msg.dst) return false;
-  // The fabric's rx-side stall must be computable at launch.
-  if (!express_rx_ok(f.msg)) return false;
-  for (const auto& rec : f.claims) {
-    if (rec.pipe->claim_active()) return false;
-  }
-  return true;
 }
 
 sim::Task<void> NetFabric::sender_loop(int node_id) {
@@ -426,29 +326,22 @@ sim::Task<void> NetFabric::sender_loop(int node_id) {
       co_await tx_pipe(node_id).occupy(stall);
     }
 
-    MsgFlow* flow = acquire_flow();
-    init_flow(*flow, std::move(msg));
-    if (can_express(*flow) && express_launch(*flow)) {
-      // The express replay owns the fetch chain; park until the last
-      // fetch completes (kExFetch, or the post-demotion kFetch chain).
-      co_await MsgFlow::FetchGate{*flow};
-    } else {
-      // Closed-loop injection: each packet is fetched across the host bus
-      // before the next, so concurrent senders on this node interleave at
-      // packet granularity and per-pair ordering is preserved.
-      MsgFlow& f = *flow;
-      f.fetching = true;  // retransmit timers wait for the fetch chain
-      for (std::uint64_t p = 0; p < f.packets; ++p) {
-        co_await bus.dma(f.pkt_bytes(p));
-        // Launch through the event queue at now, exactly where the old
-        // per-packet coroutine spawn started.
-        ++f.pending;
-        eng.at(eng.now(), sim::EventFn(&MsgFlow::thunk, &f,
-                                       MsgFlow::word(MsgFlow::kLaunch, p)));
-      }
-      f.fetching = false;
+    MsgFlow& f = *acquire_flow();
+    init_flow(f, std::move(msg));
+    // Closed-loop injection: each packet is fetched across the host bus
+    // before the next, so concurrent senders on this node interleave at
+    // packet granularity and per-pair ordering is preserved.
+    f.fetching = true;  // retransmit timers wait for the fetch chain
+    for (std::uint64_t p = 0; p < f.packets; ++p) {
+      co_await bus.dma(f.pkt_bytes(p));
+      // Launch through the event queue at now, exactly where the old
+      // per-packet coroutine spawn started.
+      ++f.pending;
+      eng.at(eng.now(), sim::EventFn(&MsgFlow::thunk, &f,
+                                     MsgFlow::word(MsgFlow::kLaunch, p)));
     }
-    // `flow` may already be recycled past this point; never touch it here.
+    f.fetching = false;
+    // `f` may already be recycled past this point; never touch it here.
   }
 }
 
@@ -504,19 +397,6 @@ void NetFabric::flow_step(MsgFlow& f, std::uintptr_t w) {
   };
 
   switch (kind) {
-    case MsgFlow::kFetch: {
-      // Post-demotion closed loop: launch this packet, fetch the next.
-      sched(MsgFlow::kLaunch, p, eng_->now());
-      if (p + 1 < f.packets) {
-        sched(MsgFlow::kFetch, p + 1, f.src_bus->reserve(f.pkt_bytes(p + 1)));
-      } else {
-        // Sender resumes inside the last fetch-completion event, like the
-        // coroutine fetch loop it replaces.
-        auto h = std::exchange(f.sender, std::coroutine_handle<>{});
-        if (h) h.resume();
-      }
-      break;
-    }
     case MsgFlow::kLaunch:
       sched(MsgFlow::kTx, p, f.tx->reserve(pkt));
       break;
@@ -640,56 +520,6 @@ void NetFabric::flow_step(MsgFlow& f, std::uintptr_t w) {
       }
       break;
     }
-
-    case MsgFlow::kExFetch:
-      if (f.demoted) {
-        if (--f.stale_events == 0) maybe_release(f);
-        break;
-      }
-      f.ex_fetch_fired = true;
-      {
-        auto h = std::exchange(f.sender, std::coroutine_handle<>{});
-        if (h) h.resume();
-      }
-      break;
-    case MsgFlow::kExLocal:
-      if (f.demoted) {
-        if (--f.stale_events == 0) maybe_release(f);
-        break;
-      }
-      f.ex_local_fired = true;
-      if (!f.local_fired && f.msg.local_complete) {
-        f.local_fired = true;
-        f.msg.local_complete();
-      }
-      break;
-    case MsgFlow::kExDeliver:
-      if (f.demoted) {
-        if (--f.stale_events == 0) maybe_release(f);
-        break;
-      }
-      for (auto& rec : f.claims) rec.pipe->clear_claim(&f);
-      deliver(f);
-      break;
-
-    case MsgFlow::kExArm:
-      f.ex_arm_fired = true;
-      if (f.demoted) {
-        // Launch-window demotion re-entry: this event occupies the exact
-        // slot of the packet machine's packet-0 fetch completion, so
-        // restarting the closed fetch loop here reproduces the packet
-        // path's event order bit for bit (see demote()).
-        MNS_AUDIT(f.replay_deferred, "armed re-entry without deferral");
-        f.replay_deferred = false;
-        sched(MsgFlow::kLaunch, 0, eng_->now());
-        if (f.packets > 1) {
-          sched(MsgFlow::kFetch, 1, f.src_bus->reserve(f.pkt_bytes(1)));
-        } else {
-          auto h = std::exchange(f.sender, std::coroutine_handle<>{});
-          if (h) h.resume();
-        }
-      }
-      break;
   }
 }
 
@@ -717,8 +547,7 @@ void NetFabric::deliver(MsgFlow& f) {
     f.msg.local_complete();
   }
   if (f.msg.remote_arrival) f.msg.remote_arrival();
-  f.delivered_done = true;
-  maybe_release(f);
+  release_flow(f);
 }
 
 // ---------------------------------------------------------------------------
@@ -799,8 +628,7 @@ void NetFabric::fail_flow(MsgFlow& f) {
   }
   on_aborted(f.msg);
   if (f.msg.on_failed) f.msg.on_failed();
-  f.delivered_done = true;  // reuse the release machinery
-  maybe_release(f);
+  release_flow(f);
 }
 
 void NetFabric::set_fault_plan(const fault::FaultPlan& plan) {
@@ -847,9 +675,7 @@ void NetFabric::set_fault_plan(const fault::FaultPlan& plan) {
     Pipe* tx = tx_[static_cast<std::size_t>(st.node)].get();
     Pipe* rx = rx_[static_cast<std::size_t>(st.node)].get();
     const sim::Time dur = st.duration;
-    // The stall is pure occupancy on both DMA engines. reserve_after
-    // breaks claims, so an express flow holding the pipe demotes — a
-    // faulted window always runs at packet granularity.
+    // The stall is pure occupancy on both DMA engines.
     eng_->at(st.at, [tx, rx, dur] {
       tx->reserve_after(dur, 0);
       rx->reserve_after(dur, 0);
@@ -858,243 +684,6 @@ void NetFabric::set_fault_plan(const fault::FaultPlan& plan) {
     // "pipes idle" audit sees the occupancy expire.
     eng_->at(st.at + dur, [] {});
   }
-}
-
-bool NetFabric::express_launch(MsgFlow& f) {
-  f.express = true;
-  f.launch_time = eng_->now();
-  for (auto& rec : f.claims) rec.snap = rec.pipe->state();
-  if (!replay_flow(f, /*materialize=*/false)) {
-    // The closed form can't reproduce the packet interleaving; undo the
-    // partial bulk apply (nothing else has run — this is synchronous) and
-    // let the packet machine drive the message.
-    for (auto& rec : f.claims) rec.pipe->restore(rec.snap);
-    f.express = false;
-    f.first_packet = true;  // the aborted walk consumed it
-    return false;
-  }
-  ++express_msgs_;
-  // Claim every path pipe until the flow's final delivery instant — not
-  // just until our last reservation on that pipe. A shorter claim could
-  // lapse while the flow is still in flight; a foreign reservation could
-  // then legally land on the lapsed pipe, and a later demotion's rollback
-  // would wipe it. With the uniform expiry, nothing foreign can touch any
-  // path pipe between the bulk apply and delivery without demoting us
-  // first, so the snapshots always restore cleanly (the epoch audit).
-  for (auto& rec : f.claims) {
-    rec.pipe->claim(&f, f.ex_deliver);
-    rec.epoch = rec.pipe->epoch();
-  }
-  return true;
-}
-
-void NetFabric::demote(MsgFlow& f) {
-  MNS_AUDIT(f.express && !f.demoted, "demotion of a non-express flow");
-  ++express_demotions_;
-  f.demoted = true;
-  for (auto& rec : f.claims) {
-    rec.pipe->clear_claim(&f);
-    MNS_AUDIT(rec.pipe->epoch() == rec.epoch,
-              "foreign reservation slipped into a claimed express window");
-    rec.pipe->restore(rec.snap);
-  }
-  f.stale_events = (f.ex_fetch_fired ? 0 : 1) +
-                   ((f.ex_local_scheduled && !f.ex_local_fired) ? 1 : 0) +
-                   1;  // kExDeliver is always still pending here
-  // Reset the packet-machine counters; the materializing replay re-applies
-  // every virtual event whose time has already passed.
-  f.packets_left_tx = f.packets;
-  f.packets_left = f.packets;
-  f.first_packet = true;
-  if (!f.ex_arm_fired) {
-    // Demoted inside the launch window, before any packet event would have
-    // fired. The packet machine's only pending event here is the packet-0
-    // fetch completion — exactly where the arm sits, carrying the seq it
-    // was given in the flow's own launch handler. Re-apply just that fetch
-    // occupancy (the rollback erased it; the packet world holds it) and
-    // let the arm restart the closed fetch loop in its own event, so every
-    // subsequent event is scheduled from the same handler position the
-    // packet machine would use. Materializing right here instead would
-    // stamp the replacement events inside the DEMOTER's handler, flipping
-    // same-instant event order against the packet path.
-    f.replay_deferred = true;
-    f.src_bus->reserve_at(f.launch_time, f.pkt_bytes(0));
-    return;
-  }
-  replay_flow(f, /*materialize=*/true);
-}
-
-bool NetFabric::replay_flow(MsgFlow& f, bool mat) {
-  const sim::Time now = eng_->now();
-
-  // Reservations with explicit (virtual) arrival instants.
-  auto resv = [&](Pipe* pipe, sim::Time arrive,
-                  std::uint64_t bytes) -> sim::Time {
-    return pipe->reserve_at(arrive, bytes);
-  };
-  auto resv_after = [&](Pipe* pipe, sim::Time arrive, sim::Time lead,
-                        std::uint64_t bytes) -> sim::Time {
-    return pipe->reserve_after_at(arrive, lead, bytes);
-  };
-  auto sched = [&](std::uint8_t kind, std::uint64_t p, sim::Time t) {
-    // Materialized events re-enter the packet machine, whose entry
-    // decrements the pending count (express flows are never faulted, but
-    // the drain counter must stay balanced for the flow-release audit).
-    if (kind <= MsgFlow::kBus) ++f.pending;
-    eng_->at(t, sim::EventFn(&MsgFlow::thunk, &f, MsgFlow::word(kind, p)));
-  };
-
-  sim::Time t_local{};
-  sim::Time t_deliver{};
-  sim::Time c_last{};
-  // With a shared protocol processor, the first packet's rx reservation is
-  // made only once its processor detour completes (`rx_gate`); a later
-  // packet reaching rx before that instant would reserve rx *first* in the
-  // real event order. The sequential walk can't express that interleaving,
-  // so the apply pass aborts on it (`walk` returns false).
-  sim::Time rx_gate{};
-  bool rx_gated = false;
-
-  // Walk one packet's stage chain from its launch instant. In materialize
-  // mode, a stage whose completion lies in the future becomes a real
-  // packet-machine event and the walk stops — every earlier stage has
-  // "already happened" and is re-applied with its side effects.
-  auto walk = [&](std::uint64_t p, std::uint64_t pkt,
-                  sim::Time launch_at) -> bool {
-    sim::Time t = resv(f.tx, launch_at, pkt);
-    if (p + 1 == f.packets) t_local = t;
-    if (mat && t > now) {
-      sched(MsgFlow::kTx, p, t);
-      return true;
-    }
-    if (mat) {
-      if (--f.packets_left_tx == 0 && !f.msg.complete_on_delivery &&
-          f.msg.local_complete && !f.local_fired) {
-        // Only reachable when the virtual tx-done instant is exactly now:
-        // anything strictly earlier already fired the real kExLocal.
-        f.local_fired = true;
-        f.msg.local_complete();
-      }
-    }
-    if (f.stage_src != nullptr) {
-      t = resv(f.stage_src, t, pkt);
-      if (mat && t > now) {
-        sched(MsgFlow::kSrcStage, p, t);
-        return true;
-      }
-    }
-    for (int h = 0; h < f.nhops; ++h) {
-      t = resv(f.hops[h], t, pkt);
-      if (mat && t > now) {
-        sched(static_cast<std::uint8_t>(MsgFlow::kHop0 + h), p, t);
-        return true;
-      }
-    }
-    if (f.stage_dst != nullptr) {
-      t = resv(f.stage_dst, t, pkt);
-      if (mat && t > now) {
-        sched(MsgFlow::kDstStage, p, t);
-        return true;
-      }
-    }
-    if (f.first_packet) {
-      f.first_packet = false;
-      // Express eligibility guarantees rx_stall is pure for this message,
-      // so evaluating it here (launch or demotion) matches the packet
-      // path evaluating it at first-packet delivery.
-      const sim::Time stall = rx_stall(f.msg) + nic_.per_msg_rx_setup;
-      if (f.nic_rx_proc != nullptr) {
-        t = resv_after(f.nic_rx_proc, t, stall, 0);
-        if (mat && t > now) {
-          sched(MsgFlow::kRxProc, p, t);
-          return true;
-        }
-        rx_gate = t;
-        rx_gated = true;
-        t = resv(f.rx, t, pkt);
-      } else {
-        t = resv_after(f.rx, t, stall, pkt);
-      }
-    } else {
-      // Abort (apply pass only) if this packet reaches rx at or before the
-      // gated first-packet rx reservation: ties and overtakes resolve by
-      // event order, which the closed form cannot reproduce. A demotion
-      // replay re-derives the exact launch-time trajectory, so the apply
-      // pass having passed this check means materialize cannot trip it.
-      if (!mat && rx_gated && t <= rx_gate) return false;
-      t = resv(f.rx, t, pkt);
-    }
-    if (mat && t > now) {
-      sched(MsgFlow::kRx, p, t);
-      return true;
-    }
-    t = resv(f.dst_bus, t, pkt);
-    if (p + 1 == f.packets) t_deliver = t;
-    if (mat && t > now) {
-      sched(MsgFlow::kBus, p, t);
-      return true;
-    }
-    if (mat) {
-      if (p + 1 == f.packets) {
-        // Boundary demotion (now == the express delivery instant): the
-        // competitor's reservation ties with our final completion, and the
-        // packet machine would run its delivery event after the
-        // competitor's. Hand delivery through the now-queue.
-        MNS_AUDIT(t == now, "demotion after the express delivery instant");
-        sched(MsgFlow::kBus, p, now);
-        return true;
-      }
-      --f.packets_left;
-    }
-    return true;
-  };
-
-  // The closed-loop fetch chain: fetch p+1 is reserved inside fetch p's
-  // completion event; each completion also launches its packet.
-  sim::Time c_prev = f.launch_time;
-  sim::Time c_first{};
-  for (std::uint64_t p = 0; p < f.packets; ++p) {
-    const std::uint64_t pkt = f.pkt_bytes(p);
-    const sim::Time c = resv(f.src_bus, c_prev, pkt);
-    if (p == 0) c_first = c;
-    if (mat && c > now) {
-      // The pending fetch-completion event re-enters the closed loop: it
-      // launches packet p and keeps fetching.
-      sched(MsgFlow::kFetch, p, c);
-      return true;
-    }
-    if (p + 1 == f.packets) c_last = c;
-    if (!walk(p, pkt, c)) return false;
-    c_prev = c;
-  }
-
-  if (mat) {
-    if (!f.ex_fetch_fired) {
-      // Only reachable when the last fetch lands exactly at now (anything
-      // earlier already fired the real kExFetch). The packet path would
-      // resume the sender inside that event; hand the resume through the
-      // now-queue so it runs after the demoting reservation completes.
-      f.ex_fetch_fired = true;
-      auto h = std::exchange(f.sender, std::coroutine_handle<>{});
-      if (h) eng_->at(now, sim::EventFn::resume(h));
-    }
-    return true;
-  }
-
-  // Apply mode: only the terminal events materialize — plus the arm, the
-  // demotion re-entry anchor sitting at the packet-0 fetch instant. Until
-  // it fires, the packet machine would have exactly one pending event (the
-  // packet-0 fetch completion, scheduled from this very handler), so a
-  // demotion in that window can hand the restart to the arm and keep
-  // same-instant event order bit-identical to the packet path.
-  f.ex_deliver = t_deliver;
-  f.ex_local_scheduled =
-      !f.msg.complete_on_delivery && static_cast<bool>(f.msg.local_complete);
-  sched(MsgFlow::kExArm, 0, c_first);
-  sched(MsgFlow::kExFetch, 0, c_last);
-  if (f.ex_local_scheduled) sched(MsgFlow::kExLocal, 0, t_local);
-  sched(MsgFlow::kExDeliver, 0, t_deliver);
-  return true;
 }
 
 void NetFabric::post_switch_broadcast(int src, std::uint64_t bytes,
@@ -1186,11 +775,6 @@ void NetFabric::register_audits(audit::AuditReport& report) {
                  "switch broadcast(s) posted but never completed");
     s.require_eq(flows_active_, std::size_t{0},
                  "message flow(s) not recycled at finalize");
-    std::vector<Pipe*> pipes;
-    collect_pipes(pipes);
-    for (Pipe* p : pipes) {
-      s.require(!p->claimed(), "pipe claim not cleared at finalize");
-    }
     for (std::size_t i = 0; i < nodes_.size(); ++i) {
       const std::string node = "node " + std::to_string(i);
       s.require(tx_[i]->idle(), node + ": tx pipe busy at finalize");

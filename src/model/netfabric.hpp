@@ -15,12 +15,7 @@
 // Data-path implementation (see DESIGN.md "message data path"): each
 // message is driven by a slab-pooled MsgFlow state machine stepping the
 // packet event sequence through raw EventFn continuations — no coroutine
-// frames, no shared_ptr, no allocation after warm-up. When a message can
-// prove exclusive occupancy of its full bus/tx/switch/rx window it takes
-// the express path: the whole per-packet trajectory is applied to the
-// pipes in one closed-form replay and only terminal events are scheduled,
-// with claims on every pipe so a competing reservation demotes the flow
-// back to packet granularity with bit-identical timing.
+// frames, no shared_ptr, no allocation after warm-up.
 //
 // The three interconnects subclass this and add their quirks through the
 // protected hooks: Myrinet's shared SRAM staging, Quadrics' NIC MMU walks
@@ -214,25 +209,18 @@ class NetFabric {
   std::uint64_t packets_retransmitted() const { return retransmitted_; }
   std::uint64_t packets_abandoned() const { return abandoned_; }
 
-  /// Enable/disable the uncontended express path (default on). Timing is
-  /// bit-identical either way — the toggle exists for the equivalence
-  /// property tests and for benchmarking the packet machine itself.
-  void set_express(bool on) { express_enabled_ = on; }
-  bool express_enabled() const { return express_enabled_; }
-  /// Messages whose whole window ran express (no demotion).
-  std::uint64_t express_messages() const { return express_msgs_; }
-  /// Express launches demoted back to packet granularity by a competing
-  /// reservation landing inside the claimed window.
-  std::uint64_t express_demotions() const { return express_demotions_; }
+  /// Always 0 (the express message path was removed); perfbench reads them.
+  std::uint64_t express_messages() const { return 0; }
+  std::uint64_t express_demotions() const { return 0; }
 
   /// Finalize-time conservation checks: every posted message delivered,
-  /// every broadcast completed, all NIC/switch stages idle, no live
-  /// message flows and no dangling pipe claims. Subclasses extend with
-  /// their own invariants (per-QP memory, DMA descriptors).
+  /// every broadcast completed, all NIC/switch stages idle and no live
+  /// message flows. Subclasses extend with their own invariants (per-QP
+  /// memory, DMA descriptors).
   virtual void register_audits(audit::AuditReport& report);
 
   /// Append every pipe of the fabric data path (tx/rx/NIC processors,
-  /// switching stages, host buses) to `out` — stats and equivalence-test
+  /// switching stages, host buses) to `out` — stats and regression-test
   /// use. Subclasses append extra stages (GM SRAM staging).
   virtual void collect_pipes(std::vector<Pipe*>& out);
 
@@ -252,9 +240,7 @@ class NetFabric {
   /// Stall before injection, occupying the tx pipe (e.g. source MMU walk).
   virtual sim::Time tx_stall(const NetMsg& msg);
   /// Stall before delivery, occupying the rx pipe (e.g. dest MMU walk).
-  /// Called once per message, at first-packet delivery time — except for
-  /// express-eligible messages (see express_rx_ok), whose value is
-  /// evaluated at launch; such messages must make this a pure function.
+  /// Called once per message, at first-packet delivery time.
   virtual sim::Time rx_stall(const NetMsg& msg);
   /// Optional extra shared stage for this message on `node`'s NIC
   /// (Myrinet SRAM staging). Return nullptr for none. Must be a pure
@@ -283,12 +269,6 @@ class NetFabric {
   /// Installed injector (null without a fault plan); subclasses use it to
   /// wire fabric-specific fault surfaces (registration failures).
   fault::Injector* injector() { return injector_.get(); }
-  /// Express-path veto: return true only when rx_stall(msg) is a pure
-  /// function (no hidden NIC state mutation), so the express path may
-  /// evaluate it at launch instead of at first-packet delivery. Quadrics
-  /// overrides this: its destination MMU walk is stateful for
-  /// host-addressed payloads.
-  virtual bool express_rx_ok(const NetMsg& msg) const;
 
   Pipe& tx_pipe(int node_id) { return *tx_[static_cast<std::size_t>(node_id)]; }
   Pipe& rx_pipe(int node_id) { return *rx_[static_cast<std::size_t>(node_id)]; }
@@ -298,7 +278,6 @@ class NetFabric {
 
  private:
   struct MsgFlow;   // pooled per-message state machine (netfabric.cpp)
-  friend struct MsgFlowAccess;  // test backdoor (equivalence property test)
 
   /// Pipelining granularity: MTU-sized packets, but capped at 64 chunks
   /// per message so huge transfers stay cheap to simulate (the pipeline
@@ -314,27 +293,7 @@ class NetFabric {
 
   MsgFlow* acquire_flow();
   void release_flow(MsgFlow& f);
-  void maybe_release(MsgFlow& f);
-
   void init_flow(MsgFlow& f, NetMsg msg);
-
-  bool can_express(const MsgFlow& f);
-  /// Bulk-apply the flow and claim its window; false when the closed form
-  /// cannot represent the packet path faithfully (rx-overtake, see
-  /// replay_flow) — pipes are rolled back and the caller must run the
-  /// packet machine.
-  bool express_launch(MsgFlow& f);
-  void demote(MsgFlow& f);
-  /// Closed-form replay of the packet trajectory. `materialize == false`:
-  /// express launch — apply every reservation and schedule the terminal
-  /// events; returns false (abort, no events scheduled) if a later
-  /// packet's rx arrival would overtake the first packet's processor-gated
-  /// rx reservation, because that interleaving is event-order-dependent.
-  /// `materialize == true`: demotion — re-apply reservations whose
-  /// (virtual) event time has passed, re-run their counter/callback side
-  /// effects, and schedule real packet-machine events for everything still
-  /// in flight; always returns true.
-  bool replay_flow(MsgFlow& f, bool materialize);
   void flow_step(MsgFlow& f, std::uintptr_t word);
   void deliver(MsgFlow& f);
 
@@ -375,14 +334,11 @@ class NetFabric {
   std::uint64_t aborted_ = 0;
   std::uint64_t bcasts_posted_ = 0;
   std::uint64_t bcasts_delivered_ = 0;
-  std::uint64_t express_msgs_ = 0;
-  std::uint64_t express_demotions_ = 0;
   std::uint64_t faults_drop_ = 0;
   std::uint64_t faults_corrupt_ = 0;
   std::uint64_t gbn_discards_ = 0;
   std::uint64_t retransmitted_ = 0;
   std::uint64_t abandoned_ = 0;
-  bool express_enabled_ = true;
   // Fault injection + recovery (null injector = lossless fabric).
   std::unique_ptr<fault::Injector> injector_;
   RecoveryConfig recovery_;

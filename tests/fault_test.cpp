@@ -58,14 +58,12 @@ struct Digest {
 
 // Runs a neighbour-exchange job (each rank sends one eager and one
 // rendezvous message to its right neighbour and receives both from its
-// left) under the seed's fault plan (or none when `faulted` is false),
-// optionally on the express message path. Called from SweepRunner worker
-// threads, so it must not touch gtest macros — invariant failures are
-// folded into the digest's trailing violation count instead.
-Digest run_point(cluster::Net net, std::uint64_t seed, bool faulted = true,
-                 bool express = false) {
+// left) under the seed's fault plan (or none when `faulted` is false).
+// Called from SweepRunner worker threads, so it must not touch gtest
+// macros — invariant failures are folded into the digest's trailing
+// violation count instead.
+Digest run_point(cluster::Net net, std::uint64_t seed, bool faulted = true) {
   cluster::ClusterConfig cfg{.nodes = kNodes, .net = net};
-  cfg.express = express;
   if (faulted) cfg.faults = plan_for(seed);
   cluster::Cluster c(cfg);
   const auto ranks = static_cast<std::size_t>(c.ranks());
@@ -541,18 +539,17 @@ TEST(Chaos, SweepOf64SeedsIsDeterministicAcrossRerunsAndJobs) {
   }
 }
 
-// Express x faults: 64 seeds with the fault plan and the express path
-// crossed by seed phase (all four combinations 16 times each). Every
-// point holds its invariants, the drop plans really drive the recovery
-// machine, and the sweep is bit-identical across reruns and --jobs.
-TEST(Chaos, ExpressAndFaultsAreDeterministicAcrossRerunsAndJobs) {
+// Faulted x clean: 64 seeds alternating between the seed's fault plan
+// and no plan. Every point holds its invariants, the drop plans really
+// drive the recovery machine, and the sweep is bit-identical across
+// reruns and --jobs.
+TEST(Chaos, FaultedAndCleanSeedsAreDeterministicAcrossRerunsAndJobs) {
   constexpr std::size_t kSeeds = 64;
   auto sweep = [&](int jobs) {
     sweep::SweepRunner runner(jobs);
     return runner.run_indexed(kSeeds, [](std::size_t i) {
       const std::uint64_t seed = 1 + i;
-      return run_point(kAllNets[seed % 3], seed, /*faulted=*/seed % 2 == 0,
-                       /*express=*/(seed / 2) % 2 == 0);
+      return run_point(kAllNets[seed % 3], seed, /*faulted=*/seed % 2 == 0);
     });
   };
   const std::vector<Digest> serial = sweep(1);

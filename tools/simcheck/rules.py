@@ -16,7 +16,7 @@ from .model import Finding, Function, SourceModel
 # dispatch loop. Matched against Function.qname.
 DEFAULT_HOT_ROOTS = [
     r"NetFabric::(flow_step|deliver|lose_packet|arm_rto|resend_lost|"
-    r"fail_flow|rto_delay|replay_flow|maybe_release|release_flow)$",
+    r"fail_flow|rto_delay|release_flow)$",
     r"MsgFlow::thunk$",
     r"Injector::(packet_verdict|reg_should_fail)$",
     r"Engine::step$",
