@@ -128,13 +128,20 @@ sim::Task<AppResult> run_cg(Comm& comm, CgParams p, Mode mode) {
   const double t0 = comm.wtime();
 
   // Butterfly p2p double-sum over all ranks (NPB CG avoids collectives).
+  // The exchange goes through two doubles that live as long as the run,
+  // like the Fortran kernel's fixed-address locals: psum's own frame is
+  // re-allocated per call, and a frame-local buffer would show MPI (and
+  // the NIC-MMU model behind it) a new buffer whenever the frame pool
+  // hands back a different block.
+  double psum_out = 0;
+  double psum_in = 0;
   auto psum = [&](double v) -> sim::Task<double> {
     for (int mask = 1; mask < np; mask <<= 1) {
       const int partner = me ^ mask;
-      double other = 0;
-      co_await comm.sendrecv(View::in(&v, 8), partner, 7001,
-                             View::out(&other, 8), partner, 7001);
-      v += other;
+      psum_out = v;
+      co_await comm.sendrecv(View::in(&psum_out, 8), partner, 7001,
+                             View::out(&psum_in, 8), partner, 7001);
+      v += psum_in;
     }
     co_return v;
   };

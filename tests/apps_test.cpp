@@ -107,6 +107,24 @@ TEST(AppsMisc, RankConstraints) {
   EXPECT_THROW(apps::find_app("nope"), std::invalid_argument);
 }
 
+TEST(AppsMisc, CgSkeletonTouchesOnlyTheKernelsBuffers) {
+  // A skeleton CG rank hands MPI six buffers and no others: the two psum
+  // exchange doubles, the send/receive pair of the row-sum exchange and
+  // that of the column gather. A buffer that lives in a coroutine frame
+  // would show up as a new buffer whenever the frame pool returns a
+  // different block — and Quadrics' NIC-MMU timing would follow it.
+  const auto& spec = apps::find_app("cg");
+  ClusterConfig cfg{.nodes = 8, .ppn = 1, .net = Net::kQuadrics};
+  Cluster c(cfg);
+  c.run([&](Comm& comm) -> Task<> {
+    co_await spec.run_test(comm, Mode::kSkeleton);
+  });
+  for (int r = 0; r < c.ranks(); ++r) {
+    const auto& st = c.recorder().rank(r);
+    EXPECT_EQ(st.buffer_accesses - st.buffer_reuses, 6u) << "rank " << r;
+  }
+}
+
 TEST(AppsMisc, BandwidthBoundAppFavorsInfiniBand) {
   // Class-B IS moves multi-MB alltoallv payloads: InfiniBand's 3.5x
   // bandwidth advantage must show up in simulated execution time
