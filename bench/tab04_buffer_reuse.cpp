@@ -6,15 +6,10 @@ using namespace mns::bench;
 
 namespace {
 
-struct ProfiledRun {
-  prof::RankStats totals;
-  std::vector<prof::RankStats> per_rank;
-};
-
 /// Run one paper-scale app and capture the profiler output — the same way
 /// the paper produced Tables 1 and 3-6 via the MPICH logging interface.
-ProfiledRun profile_app(const std::string& name, std::size_t nodes,
-                        int ppn = 1) {
+prof::RankStats profile_app(const std::string& name, std::size_t nodes,
+                            int ppn = 1) {
   cluster::ClusterConfig cfg{
       .nodes = nodes, .ppn = ppn, .net = cluster::Net::kInfiniBand};
   cluster::Cluster c(cfg);
@@ -22,21 +17,7 @@ ProfiledRun profile_app(const std::string& name, std::size_t nodes,
   c.run([&](mpi::Comm& comm) -> sim::Task<void> {
     co_await spec.run_full(comm, apps::Mode::kSkeleton);
   });
-  ProfiledRun out;
-  out.totals = c.recorder().totals();
-  for (int r = 0; r < c.ranks(); ++r) {
-    out.per_rank.push_back(c.recorder().rank(r));
-  }
-  return out;
-}
-
-/// The paper's tables report a representative (busiest) rank.
-const prof::RankStats& busiest(const ProfiledRun& run) {
-  const prof::RankStats* best = &run.per_rank[0];
-  for (const auto& st : run.per_rank) {
-    if (st.mpi_calls > best->mpi_calls) best = &st;
-  }
-  return *best;
+  return c.recorder().totals();
 }
 
 }  // namespace
@@ -55,8 +36,7 @@ int main(int argc, char** argv) {
       {"s3d150", 8, {99.99, 99.99}},
   };
   for (const auto& r : rows) {
-    const auto run = profile_app(r.app, r.nodes);
-    const auto& st = run.totals;
+    const prof::RankStats st = profile_app(r.app, r.nodes);
     const double pct = st.buffer_accesses
                            ? 100.0 * static_cast<double>(st.buffer_reuses) /
                                  static_cast<double>(st.buffer_accesses)

@@ -59,7 +59,7 @@ sim::Task<void> Comm::barrier_impl() {
     const Rank src = (rank_ - k + p) % p;
     View sv = View::synth(scratch_addr(rank_, 1), 4);
     View rv = View::synth(scratch_addr(rank_, 2), 4);
-    Request rreq = co_await irecv_impl(rv, src, tag, false);
+    Request rreq = co_await irecv_impl(rv, src, tag);
     Request sreq = co_await isend_impl(sv, dst, tag, false);
     const Status sst = co_await wait(sreq);
     const Status rst = co_await wait(rreq);
@@ -76,7 +76,7 @@ sim::Task<int> Comm::bcast_p2p(View buf, Rank root, Tag tag) {
   while (mask < p) {
     if (rel & mask) {
       const Rank src = (rel - mask + root) % p;
-      Request r = co_await irecv_impl(buf, src, tag, false);
+      Request r = co_await irecv_impl(buf, src, tag);
       const Status st = co_await wait(r);
       if (st.error != kErrNone) err = kErrFabric;
       break;
@@ -145,7 +145,7 @@ sim::Task<int> Comm::reduce_p2p(View buf, std::size_t count, Dtype dtype,
       const int src_rel = rel | mask;
       if (src_rel < p) {
         const Rank src = (src_rel + root) % p;
-        Request r = co_await irecv_impl(tmp, src, tag, false);
+        Request r = co_await irecv_impl(tmp, src, tag);
         const Status st = co_await wait(r);
         if (st.error != kErrNone) err = kErrFabric;
         reduce_payload(tmp, buf, count, dtype, op);
@@ -255,7 +255,7 @@ sim::Task<void> Comm::alltoall_impl(View sendbuf, View recvbuf,
     const Rank src = (rank_ - i + p) % p;
     reqs.push_back(co_await irecv_impl(
         slice(recvbuf, static_cast<std::uint64_t>(src) * per_rank, per_rank),
-        src, tag, false));
+        src, tag));
   }
   for (int i = 1; i < p; ++i) {
     const Rank dst = (rank_ + i) % p;
@@ -301,7 +301,7 @@ sim::Task<void> Comm::alltoallv_impl(
     if (recv_counts[static_cast<std::size_t>(src)] == 0) continue;
     reqs.push_back(co_await irecv_impl(
         slice(recvbuf, roff[src], recv_counts[static_cast<std::size_t>(src)]),
-        src, tag, false));
+        src, tag));
   }
   for (int i = 1; i < p; ++i) {
     const Rank dst = (rank_ + i) % p;
@@ -369,7 +369,7 @@ sim::Task<void> Comm::gather_impl(View sendpart, View recvbuf,
       if (r == root) continue;
       reqs.push_back(co_await irecv_impl(
           slice(recvbuf, static_cast<std::uint64_t>(r) * per_rank, per_rank),
-          r, tag, false));
+          r, tag));
     }
     for (auto& r : reqs) {
       const Status st = co_await wait(r);
@@ -408,7 +408,7 @@ sim::Task<void> Comm::scatter_impl(View sendbuf, View recvpart,
       if (st.error != kErrNone) err = kErrFabric;
     }
   } else {
-    Request r = co_await irecv_impl(recvpart, root, tag, false);
+    Request r = co_await irecv_impl(recvpart, root, tag);
     const Status st = co_await wait(r);
     if (st.error != kErrNone) err = kErrFabric;
   }
@@ -442,7 +442,7 @@ sim::Task<void> Comm::reduce_scatter_block_impl(View buf,
       if (st.error != kErrNone) err = kErrFabric;
     }
   } else {
-    Request r = co_await irecv_impl(out, 0, tag + 1, false);
+    Request r = co_await irecv_impl(out, 0, tag + 1);
     const Status st = co_await wait(r);
     if (st.error != kErrNone) err = kErrFabric;
   }
@@ -472,7 +472,7 @@ sim::Task<void> Comm::scan_impl(View buf, std::size_t count, Dtype dtype,
     tmp = View::out(tmp_store.data(), buf.bytes());
   }
   if (rank_ > 0) {
-    Request r = co_await irecv_impl(tmp, rank_ - 1, tag, false);
+    Request r = co_await irecv_impl(tmp, rank_ - 1, tag);
     const Status st = co_await wait(r);
     if (st.error != kErrNone) err = kErrFabric;
     reduce_payload(tmp, buf, count, dtype, op);
@@ -507,7 +507,7 @@ sim::Task<void> Comm::gatherv_impl(View sendpart, View recvbuf,
     for (int r = 0; r < p; ++r) {
       if (r == root || counts[r] == 0) continue;
       reqs.push_back(co_await irecv_impl(
-          slice(recvbuf, off[r], counts[r]), r, tag, false));
+          slice(recvbuf, off[r], counts[r]), r, tag));
     }
     for (auto& r : reqs) {
       const Status st = co_await wait(r);
@@ -550,7 +550,7 @@ sim::Task<void> Comm::scatterv_impl(View sendbuf,
       if (st.error != kErrNone) err = kErrFabric;
     }
   } else if (counts[static_cast<std::size_t>(rank_)] > 0) {
-    Request r = co_await irecv_impl(recvpart, root, tag, false);
+    Request r = co_await irecv_impl(recvpart, root, tag);
     const Status st = co_await wait(r);
     if (st.error != kErrNone) err = kErrFabric;
   }
@@ -559,7 +559,7 @@ sim::Task<void> Comm::scatterv_impl(View sendbuf,
 
 sim::Task<Status> Comm::sendrecv_internal(View sendbuf, Rank dst, Tag stag,
                                           View recvbuf, Rank src, Tag rtag) {
-  Request rreq = co_await irecv_impl(recvbuf, src, rtag, false);
+  Request rreq = co_await irecv_impl(recvbuf, src, rtag);
   Request sreq = co_await isend_impl(sendbuf, dst, stag, false);
   const Status sst = co_await wait(sreq);
   Status rst = co_await wait(rreq);
@@ -590,7 +590,7 @@ sim::Task<int> Comm::agree_error(Tag tag, int err) {
         const int src = rank_ | mask;
         if (src < p) {
           View rv = View::synth(scratch_addr(rank_, 7), 2);
-          Request r = co_await irecv_impl(rv, src, t, false);
+          Request r = co_await irecv_impl(rv, src, t);
           const Status st = co_await wait(r);
           if (st.error != kErrNone || st.bytes > 1) err = kErrFabric;
         }
@@ -611,7 +611,7 @@ sim::Task<int> Comm::agree_error(Tag tag, int err) {
       if (rank_ & rmask) {
         const Rank src = rank_ - rmask;
         View rv = View::synth(scratch_addr(rank_, 9), 2);
-        Request r = co_await irecv_impl(rv, src, t, false);
+        Request r = co_await irecv_impl(rv, src, t);
         const Status st = co_await wait(r);
         if (st.error != kErrNone || st.bytes > 1) err = kErrFabric;
         break;

@@ -98,8 +98,7 @@ sim::Task<Request> Comm::isend_impl(View buf, Rank dst, Tag tag,
   co_return Request(req);
 }
 
-sim::Task<Request> Comm::irecv_impl(View buf, Rank src, Tag tag,
-                                    bool nonblocking) {
+sim::Task<Request> Comm::irecv_impl(View buf, Rank src, Tag tag) {
   buf = mpi_->canon(buf);
   auto& p = mpi_->proc(rank_);
   sim::MpiScope scope(p.cpu());
@@ -134,7 +133,7 @@ sim::Task<Status> Comm::recv(View buf, Rank src, Tag tag) {
   buf = mpi_->canon(buf);
   mpi_->recorder().on_recv(rank_, buf.bytes(), false, buf.addr());
   const double tt0 = wtime();
-  Request req = co_await irecv_impl(buf, src, tag, false);
+  Request req = co_await irecv_impl(buf, src, tag);
   const Status st = co_await wait(std::move(req));
   trace(prof::EventKind::kRecv, "Recv", st.source, st.bytes, tt0);
   co_return st;
@@ -151,7 +150,7 @@ sim::Task<Request> Comm::isend(View buf, Rank dst, Tag tag) {
 sim::Task<Request> Comm::irecv(View buf, Rank src, Tag tag) {
   buf = mpi_->canon(buf);
   mpi_->recorder().on_recv(rank_, buf.bytes(), true, buf.addr());
-  return irecv_impl(buf, src, tag, true);
+  return irecv_impl(buf, src, tag);
 }
 
 sim::Task<Status> Comm::wait(Request req) {
@@ -173,7 +172,7 @@ sim::Task<Status> Comm::sendrecv(View sendbuf, Rank dst, Tag stag,
   recvbuf = mpi_->canon(recvbuf);
   mpi_->recorder().on_recv(rank_, recvbuf.bytes(), false, recvbuf.addr());
   const double tt0 = wtime();
-  Request rreq = co_await irecv_impl(recvbuf, src, rtag, false);
+  Request rreq = co_await irecv_impl(recvbuf, src, rtag);
   const bool intra = mpi_->same_node(rank_, dst);
   mpi_->recorder().on_send(rank_, sendbuf.bytes(), false, sendbuf.addr(),
                            intra);

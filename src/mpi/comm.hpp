@@ -136,8 +136,7 @@ class Comm {
 
   sim::Task<Request> isend_impl(View buf, Rank dst, Tag tag,
                                 bool nonblocking);
-  sim::Task<Request> irecv_impl(View buf, Rank src, Tag tag,
-                                bool nonblocking);
+  sim::Task<Request> irecv_impl(View buf, Rank src, Tag tag);
   /// Subview helper for collective algorithms on real/synthetic buffers.
   static View slice(const View& v, std::uint64_t offset, std::uint64_t len);
   /// Next collective tag/slot id (same sequence on every rank).

@@ -251,7 +251,9 @@ TEST(Chaos, HeavyLossSurfacesErrorsWithoutHanging) {
   }
   EXPECT_GT(fab.packets_dropped(), 0u);
   EXPECT_GT(fab.packets_retransmitted(), 0u);
-  if (errors > 0) EXPECT_GT(fab.packets_abandoned(), 0u);
+  if (errors > 0) {
+    EXPECT_GT(fab.packets_abandoned(), 0u);
+  }
   EXPECT_EQ(fab.packets_dropped() + fab.packets_corrupted() +
                 fab.packets_gbn_discarded(),
             fab.packets_retransmitted() + fab.packets_abandoned());
