@@ -68,7 +68,7 @@ class ElanFabric final : public model::NetFabric {
 
   /// Occupy node's NIC protocol processor (serializes with message
   /// processing); used by the MPI device for NIC-side tag-match scans.
-  sim::Task<void> occupy_nic(int node, sim::Time d) {
+  model::Pipe::Slot occupy_nic(int node, sim::Time d) {
     return nic_proc(node).occupy(d);
   }
 

@@ -33,7 +33,7 @@ class HostBus {
         cfg_(cfg) {}
 
   /// One DMA transaction crossing the bus (either direction).
-  sim::Task<void> dma(std::uint64_t bytes) { return pipe_.transfer(bytes); }
+  Pipe::Slot dma(std::uint64_t bytes) { return pipe_.transfer(bytes); }
 
   const BusConfig& config() const { return cfg_; }
   const Pipe& pipe() const { return pipe_; }

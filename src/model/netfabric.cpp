@@ -75,7 +75,7 @@ struct NetFabric::MsgFlow {
     kDstStage,  // destination staging done
     kRxProc,    // shared-processor rx setup done
     kRx,        // receiver NIC delivery done
-    kBus,       // destination host-bus DMA done
+    kBus,       // destination host-bus DMA done (lossless: last packet only)
     kRto,       // recovery: retransmission timeout fired
     // One fused relaunch for a whole resend round (resend_mask holds the
     // packets). Replaces the contiguous block of same-instant kLaunch
@@ -473,6 +473,16 @@ void NetFabric::flow_step(MsgFlow& f, std::uintptr_t w) {
           lose_packet(f, p);
           break;
         }
+      } else if (f.packets_left > 1) {
+        // Lossless flow, not its last packet: its kBus event would only
+        // count down, so reserve the bus slot and count down here. The
+        // last packet takes the latest slot on the FIFO bus, and its kBus
+        // delivers at the same instant as before; every other event keeps
+        // its (time, seq) order. Faulted flows keep every kBus, because
+        // the retransmit timer's `pending` drain check counts them.
+        f.dst_bus->reserve(pkt);
+        --f.packets_left;
+        break;
       }
       sched(MsgFlow::kBus, p, f.dst_bus->reserve(pkt));
       break;

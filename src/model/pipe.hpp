@@ -8,18 +8,19 @@
 //
 // Two layers of API:
 //
-//   * Coroutine layer (`transfer`, `occupy`, `transfer_after`): reserve a
-//     slot and co_await its completion — one event per stage.
+//   * Awaitable layer (`transfer`, `occupy`, `transfer_after`): co_await
+//     reserves a slot and suspends until its completion — one event per
+//     stage and no coroutine frame of its own.
 //   * Reservation layer (`reserve`, `reserve_after`): the same slot
-//     arithmetic without the coroutine; callers get back the absolute
+//     arithmetic without the suspension; callers get back the absolute
 //     completion time and schedule their own continuation. This is what
 //     the pooled message state machines in NetFabric drive.
 #pragma once
 
+#include <coroutine>
 #include <cstdint>
 
 #include "sim/engine.hpp"
-#include "sim/task.hpp"
 #include "sim/time.hpp"
 
 namespace mns::model {
@@ -33,23 +34,45 @@ class Pipe {
        sim::Time fixed_cost = sim::Time::zero())
       : eng_(&eng), rate_(bytes_per_second), fixed_cost_(fixed_cost) {}
 
+  /// What `transfer`, `occupy` and `transfer_after` return. The slot is
+  /// reserved when the awaiter is co_awaited (not when it is created), and
+  /// the awaiting coroutine resumes at the slot's completion: the same
+  /// single event a child coroutine would schedule, without its frame.
+  class [[nodiscard]] Slot {
+   public:
+    bool await_ready() const noexcept { return false; }
+    void await_suspend(std::coroutine_handle<> h) {
+      const sim::Time done =
+          stall_ ? pipe_->reserve_after(lead_, bytes_) : pipe_->reserve(bytes_);
+      pipe_->eng_->resume_at(done, h);
+    }
+    void await_resume() const noexcept {}
+
+   private:
+    friend class Pipe;
+    Slot(Pipe* pipe, bool stall, sim::Time lead, std::uint64_t bytes)
+        : pipe_(pipe), stall_(stall), lead_(lead), bytes_(bytes) {}
+    Pipe* pipe_;
+    bool stall_;  // reserve_after(lead, bytes) rather than reserve(bytes)
+    sim::Time lead_;
+    std::uint64_t bytes_;
+  };
+
   /// Move `bytes` through the pipe; resumes when the last byte (plus the
   /// fixed cost) has cleared. Zero-byte transfers still pay the fixed cost.
-  sim::Task<void> transfer(std::uint64_t bytes) {
-    co_await eng_->delay(reserve(bytes) - eng_->now());
+  Slot transfer(std::uint64_t bytes) {
+    return Slot(this, false, sim::Time::zero(), bytes);
   }
 
   /// Reserve the pipe for a fixed duration (models a processing stall that
   /// occupies the stage, e.g. a NIC MMU walk). Keeps FIFO order with
   /// transfers.
-  sim::Task<void> occupy(sim::Time duration) {
-    return transfer_after(duration, 0);
-  }
+  Slot occupy(sim::Time duration) { return transfer_after(duration, 0); }
 
   /// Stall for `lead`, then move `bytes` — reserved as one atomic slot so
   /// no competing transfer can slip between the stall and the data.
-  sim::Task<void> transfer_after(sim::Time lead, std::uint64_t bytes) {
-    co_await eng_->delay(reserve_after(lead, bytes) - eng_->now());
+  Slot transfer_after(sim::Time lead, std::uint64_t bytes) {
+    return Slot(this, true, lead, bytes);
   }
 
   /// Reserve the next FIFO slot for `bytes` now; returns the absolute time
@@ -65,7 +88,7 @@ class Pipe {
     return busy_until_ + fixed_cost_;
   }
 
-  /// `transfer_after` without the coroutine: stall + data as one slot.
+  /// `transfer_after` without the suspension: stall + data as one slot.
   /// Pure occupancy (`bytes == 0`) pays no fixed cost and does not count
   /// as a transfer, matching `transfer_after` / `occupy`.
   sim::Time reserve_after(sim::Time lead, std::uint64_t bytes) {

@@ -34,7 +34,7 @@ class CrossbarSwitch {
   }
 
   /// Forward one packet to output port `dst`.
-  sim::Task<void> forward(std::size_t dst, std::uint64_t bytes) {
+  Pipe::Slot forward(std::size_t dst, std::uint64_t bytes) {
     return port(dst).transfer(bytes);
   }
 

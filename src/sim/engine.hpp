@@ -475,15 +475,29 @@ class Cpu {
  public:
   explicit Cpu(Engine& eng) : eng_(&eng) {}
 
-  Task<void> compute(Time d) {
-    compute_time_ += d;
-    co_await eng_->delay(d);
-  }
+  /// What `compute` and `busy` return: co_await charges the time to its
+  /// account and suspends for it — one event, no coroutine frame. The
+  /// charge happens at co_await, not when the awaiter is created.
+  class [[nodiscard]] Spend {
+   public:
+    bool await_ready() const noexcept { return false; }
+    void await_suspend(std::coroutine_handle<> h) {
+      *account_ += d_;
+      eng_->resume_after(d_, h);
+    }
+    void await_resume() const noexcept {}
 
-  Task<void> busy(Time d) {
-    overhead_time_ += d;
-    co_await eng_->delay(d);
-  }
+   private:
+    friend class Cpu;
+    Spend(Engine* eng, Time* account, Time d)
+        : eng_(eng), account_(account), d_(d) {}
+    Engine* eng_;
+    Time* account_;
+    Time d_;
+  };
+
+  Spend compute(Time d) { return Spend(eng_, &compute_time_, d); }
+  Spend busy(Time d) { return Spend(eng_, &overhead_time_, d); }
 
   /// Account overhead without advancing time: used by event-context
   /// handlers that charge the rank's CPU while it is blocked (the delay is

@@ -75,6 +75,72 @@ TEST(Pipe, ZeroByteTransferPaysFixedCostOnly) {
   EXPECT_EQ(done, Time::ns(100));
 }
 
+TEST(Pipe, ReservesAtCoAwaitNotAtCreation) {
+  // Like the lazy coroutine it replaces, a transfer takes its FIFO slot
+  // when it is co_awaited: a later-created but earlier-awaited transfer
+  // goes first.
+  Engine eng;
+  Pipe pipe(eng, 1e9);  // 1000 bytes = 1 us
+  Time late, early;
+  eng.spawn([](Engine& e, Pipe& p, Time& out) -> Task<> {
+    auto slot = p.transfer(1000);
+    co_await e.delay(Time::us(1));
+    co_await slot;
+    out = e.now();
+  }(eng, pipe, late));
+  eng.spawn([](Engine& e, Pipe& p, Time& out) -> Task<> {
+    EXPECT_EQ(p.transfers(), 0u);  // created, not awaited: no slot yet
+    co_await p.transfer(1000);
+    out = e.now();
+  }(eng, pipe, early));
+  eng.run();
+  EXPECT_EQ(early, Time::us(1));
+  EXPECT_EQ(late, Time::us(2));
+}
+
+TEST(Pipe, OccupyPaysNoFixedCostAndIsNoTransfer) {
+  Engine eng;
+  Pipe pipe(eng, 1e9, Time::ns(100));
+  Time stalled, moved;
+  eng.spawn([](Engine& e, Pipe& p, Time& a, Time& b) -> Task<> {
+    co_await p.occupy(Time::ns(500));
+    a = e.now();
+    // Stall + data as one slot: the data pays the fixed cost.
+    co_await p.transfer_after(Time::ns(500), 1000);
+    b = e.now();
+  }(eng, pipe, stalled, moved));
+  eng.run();
+  EXPECT_EQ(stalled, Time::ns(500));
+  EXPECT_EQ(moved, Time::ns(500 + 500 + 1000 + 100));
+  EXPECT_EQ(pipe.transfers(), 1u);
+  EXPECT_EQ(pipe.bytes_moved(), 1000u);
+  EXPECT_EQ(pipe.busy_time(), Time::ns(2000));
+}
+
+TEST(Pipe, SameInstantAwaitsResumeInAwaitOrder) {
+  // Zero-byte transfers all complete at the fixed cost. They resume in
+  // co_await order, interleaved with a plain delay to the same instant
+  // exactly where it was scheduled.
+  Engine eng;
+  Pipe pipe(eng, 1e9, Time::ns(100));
+  std::vector<int> order;
+  auto xfer = [](Pipe& p, std::vector<int>& order, int id) -> Task<> {
+    co_await p.transfer(0);
+    order.push_back(id);
+  };
+  auto wait = [](Engine& e, std::vector<int>& order, int id) -> Task<> {
+    co_await e.delay(Time::ns(100));
+    order.push_back(id);
+  };
+  eng.spawn(xfer(pipe, order, 0));
+  eng.spawn(wait(eng, order, 1));
+  eng.spawn(xfer(pipe, order, 2));
+  eng.spawn(xfer(pipe, order, 3));
+  eng.run();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
+  EXPECT_EQ(eng.now(), Time::ns(100));
+}
+
 TEST(HostBus, SharedBetweenDirections) {
   // Two simultaneous 1 MB DMAs (tx+rx) through one PCI-X bus take twice
   // the time of one: the bus is half-duplex.

@@ -373,6 +373,30 @@ TEST(Cpu, AccountsComputeAndOverhead) {
   EXPECT_EQ(eng.now(), Time::us(17));
 }
 
+TEST(Cpu, ChargesTimeAtCoAwait) {
+  // compute()/busy() charge their account when co_awaited — not when the
+  // awaiter is created, and not when the rank resumes.
+  Engine eng;
+  Cpu cpu(eng);
+  eng.spawn([](Engine& e, Cpu& c) -> Task<> {
+    auto work = c.compute(Time::us(10));
+    co_await e.delay(Time::us(1));
+    EXPECT_EQ(c.compute_time(), Time::zero());
+    co_await work;  // charged at 1 us, resumes at 11 us
+    EXPECT_EQ(e.now(), Time::us(11));
+    co_await c.busy(Time::us(3));
+  }(eng, cpu));
+  eng.spawn([](Engine& e, Cpu& c) -> Task<> {
+    co_await e.delay(Time::us(2));
+    EXPECT_EQ(c.compute_time(), Time::us(10));
+    EXPECT_EQ(c.overhead_time(), Time::zero());
+    co_await e.delay(Time::us(10));  // 12 us: busy charged at 11 us
+    EXPECT_EQ(c.overhead_time(), Time::us(3));
+  }(eng, cpu));
+  eng.run();
+  EXPECT_EQ(eng.now(), Time::us(14));
+}
+
 TEST(Cpu, NestedMpiScopes) {
   Engine eng;
   Cpu cpu(eng);
