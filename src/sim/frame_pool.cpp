@@ -10,10 +10,10 @@ namespace mns::sim::frame_pool {
 namespace {
 
 // Bins are kGranule-wide up to kMaxPooledBytes. Coroutine frames cluster
-// in a few dozen sizes well under 2 KiB (a Cpu::compute frame is ~128 B;
-// the largest collective frames stay under 1 KiB), so 64-byte bins up to
-// 4 KiB cover everything the simulator spawns in bulk; anything larger
-// falls through to the global allocator.
+// in a few dozen sizes well under 2 KiB (the largest collective frames
+// stay under 1 KiB), so 64-byte bins up to 4 KiB cover everything the
+// simulator spawns in bulk; anything larger falls through to the global
+// allocator.
 constexpr std::size_t kGranule = 64;
 constexpr std::size_t kMaxPooledBytes = 4096;
 constexpr std::size_t kBinCount = kMaxPooledBytes / kGranule;

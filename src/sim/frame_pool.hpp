@@ -1,7 +1,7 @@
 // Pooled allocation for coroutine frames.
 //
 // A class-B skeleton run spawns millions of transient Task<> frames
-// (Cpu::compute/busy, per-message channel tasks, collective fan-outs);
+// (MPI calls, per-message channel tasks, collective fan-outs);
 // with the default allocator every one of them is a global
 // operator-new/delete round trip. This pool routes frame allocation
 // through a per-thread size-binned freelist: after warm-up a frame

@@ -20,7 +20,7 @@ namespace detail {
 
 // PromiseBase inherits PoolAllocated, so every Task<T> coroutine frame is
 // carved from the per-thread frame pool instead of the global allocator —
-// the millions of transient compute()/busy()/channel tasks a skeleton run
+// the millions of transient MPI-call and channel tasks a skeleton run
 // spawns become freelist pops.
 struct PromiseBase : frame_pool::PoolAllocated {
   std::coroutine_handle<> continuation = std::noop_coroutine();

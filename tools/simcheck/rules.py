@@ -27,6 +27,12 @@ DEFAULT_HOT_ROOTS = [
     # sender_loop and covered transitively.)
     r"NetFabric::(abort_degraded|learn_link_dead|link_known_dead)$",
     r"(IbFabric|GmFabric|ElanFabric)::degrade_delay$",
+    # Leaf waits: every stage a coroutine co_awaits (a pipe slot, a host
+    # bus DMA, CPU compute/overhead) reserves and schedules its resume
+    # here, once per packet or MPI step.
+    r"(Pipe::Slot|Cpu::Spend)::await_suspend$",
+    r"Pipe::(reserve|reserve_after)$",
+    r"Cpu::(compute|busy)$",
 ]
 
 # Callees that defer their lambda argument beyond the current frame — a
