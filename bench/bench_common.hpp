@@ -19,6 +19,7 @@
 #include "cluster/cluster.hpp"
 #include "fault/fault.hpp"
 #include "microbench/microbench.hpp"
+#include "prof/recorder.hpp"
 #include "sweep/sweep_runner.hpp"
 #include "util/bytes.hpp"
 #include "util/flags.hpp"
@@ -174,6 +175,35 @@ inline double run_app(const std::string& name, cluster::Net net,
     std::exit(3);
   }
   return r0.app_seconds;
+}
+
+/// Profiler output of one app run: totals over every rank, plus the
+/// busiest rank (most MPI calls; the first such rank on a tie), which is
+/// the representative rank the paper's per-rank tables report.
+struct AppProfile {
+  prof::RankStats totals;
+  prof::RankStats busiest;
+};
+
+/// Run one registry app at paper scale (skeleton mode) on InfiniBand and
+/// capture the profiler output, the way the paper produced Tables 1 and
+/// 3-6 via the MPICH logging interface.
+inline AppProfile profile_app(const std::string& name, std::size_t nodes,
+                              int ppn = 1) {
+  cluster::ClusterConfig cfg{
+      .nodes = nodes, .ppn = ppn, .net = cluster::Net::kInfiniBand};
+  cluster::Cluster c(cfg);
+  const auto& spec = apps::find_app(name);
+  c.run([&](mpi::Comm& comm) -> sim::Task<void> {
+    co_await spec.run_full(comm, apps::Mode::kSkeleton);
+  });
+  AppProfile out{.totals = c.recorder().totals(),
+                 .busiest = c.recorder().rank(0)};
+  for (int r = 1; r < c.ranks(); ++r) {
+    const prof::RankStats& st = c.recorder().rank(r);
+    if (st.mpi_calls > out.busiest.mpi_calls) out.busiest = st;
+  }
+  return out;
 }
 
 }  // namespace mns::bench

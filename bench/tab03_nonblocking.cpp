@@ -1,45 +1,7 @@
 #include "bench_common.hpp"
-#include "prof/recorder.hpp"
 
 using namespace mns;
 using namespace mns::bench;
-
-namespace {
-
-struct ProfiledRun {
-  prof::RankStats totals;
-  std::vector<prof::RankStats> per_rank;
-};
-
-/// Run one paper-scale app and capture the profiler output — the same way
-/// the paper produced Tables 1 and 3-6 via the MPICH logging interface.
-ProfiledRun profile_app(const std::string& name, std::size_t nodes,
-                        int ppn = 1) {
-  cluster::ClusterConfig cfg{
-      .nodes = nodes, .ppn = ppn, .net = cluster::Net::kInfiniBand};
-  cluster::Cluster c(cfg);
-  const auto& spec = apps::find_app(name);
-  c.run([&](mpi::Comm& comm) -> sim::Task<void> {
-    co_await spec.run_full(comm, apps::Mode::kSkeleton);
-  });
-  ProfiledRun out;
-  out.totals = c.recorder().totals();
-  for (int r = 0; r < c.ranks(); ++r) {
-    out.per_rank.push_back(c.recorder().rank(r));
-  }
-  return out;
-}
-
-/// The paper's tables report a representative (busiest) rank.
-const prof::RankStats& busiest(const ProfiledRun& run) {
-  const prof::RankStats* best = &run.per_rank[0];
-  for (const auto& st : run.per_rank) {
-    if (st.mpi_calls > best->mpi_calls) best = &st;
-  }
-  return *best;
-}
-
-}  // namespace
 
 // Paper Table 3: non-blocking MPI usage per application.
 int main(int argc, char** argv) {
@@ -59,9 +21,12 @@ int main(int argc, char** argv) {
       {"s3d50", 8, {0, 0, 0, 0}},
       {"s3d150", 8, {0, 0, 0, 0}},
   };
-  for (const auto& r : rows) {
-    const auto run = profile_app(r.app, r.nodes);
-    const auto& st = busiest(run);
+  const auto runs = sweep_indexed(out, std::size(rows), [&](std::size_t i) {
+    return profile_app(rows[i].app, rows[i].nodes);
+  });
+  for (std::size_t i = 0; i < std::size(rows); ++i) {
+    const auto& r = rows[i];
+    const prof::RankStats& st = runs[i].busiest;
     const auto avg = [](std::uint64_t bytes, std::uint64_t n) {
       return n ? bytes / n : 0;
     };

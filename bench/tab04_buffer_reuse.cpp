@@ -1,26 +1,7 @@
 #include "bench_common.hpp"
-#include "prof/recorder.hpp"
 
 using namespace mns;
 using namespace mns::bench;
-
-namespace {
-
-/// Run one paper-scale app and capture the profiler output — the same way
-/// the paper produced Tables 1 and 3-6 via the MPICH logging interface.
-prof::RankStats profile_app(const std::string& name, std::size_t nodes,
-                            int ppn = 1) {
-  cluster::ClusterConfig cfg{
-      .nodes = nodes, .ppn = ppn, .net = cluster::Net::kInfiniBand};
-  cluster::Cluster c(cfg);
-  const auto& spec = apps::find_app(name);
-  c.run([&](mpi::Comm& comm) -> sim::Task<void> {
-    co_await spec.run_full(comm, apps::Mode::kSkeleton);
-  });
-  return c.recorder().totals();
-}
-
-}  // namespace
 
 // Paper Table 4: application buffer reuse rates.
 int main(int argc, char** argv) {
@@ -35,8 +16,12 @@ int main(int argc, char** argv) {
       {"bt", 4, {99.87, 99.83}},    {"s3d50", 8, {99.96, 99.99}},
       {"s3d150", 8, {99.99, 99.99}},
   };
-  for (const auto& r : rows) {
-    const prof::RankStats st = profile_app(r.app, r.nodes);
+  const auto runs = sweep_indexed(out, std::size(rows), [&](std::size_t i) {
+    return profile_app(rows[i].app, rows[i].nodes);
+  });
+  for (std::size_t i = 0; i < std::size(rows); ++i) {
+    const auto& r = rows[i];
+    const prof::RankStats& st = runs[i].totals;
     const double pct = st.buffer_accesses
                            ? 100.0 * static_cast<double>(st.buffer_reuses) /
                                  static_cast<double>(st.buffer_accesses)

@@ -1,26 +1,7 @@
 #include "bench_common.hpp"
-#include "prof/recorder.hpp"
 
 using namespace mns;
 using namespace mns::bench;
-
-namespace {
-
-/// Run one paper-scale app and capture the profiler output — the same way
-/// the paper produced Tables 1 and 3-6 via the MPICH logging interface.
-prof::RankStats profile_app(const std::string& name, std::size_t nodes,
-                            int ppn = 1) {
-  cluster::ClusterConfig cfg{
-      .nodes = nodes, .ppn = ppn, .net = cluster::Net::kInfiniBand};
-  cluster::Cluster c(cfg);
-  const auto& spec = apps::find_app(name);
-  c.run([&](mpi::Comm& comm) -> sim::Task<void> {
-    co_await spec.run_full(comm, apps::Mode::kSkeleton);
-  });
-  return c.recorder().totals();
-}
-
-}  // namespace
 
 // Paper Table 6: intra-node point-to-point share with block mapping,
 // 16 processes on 8 nodes (SP/BT: 16 on 8 would need square; the paper
@@ -37,8 +18,12 @@ int main(int argc, char** argv) {
       {"bt", 8, {16.31, 16.21}},    {"s3d50", 8, {33.29, 33.11}},
       {"s3d150", 8, {33.32, 33.47}},
   };
-  for (const auto& r : rows) {
-    const prof::RankStats st = profile_app(r.app, r.nodes, /*ppn=*/2);
+  const auto runs = sweep_indexed(out, std::size(rows), [&](std::size_t i) {
+    return profile_app(rows[i].app, rows[i].nodes, /*ppn=*/2);
+  });
+  for (std::size_t i = 0; i < std::size(rows); ++i) {
+    const auto& r = rows[i];
+    const prof::RankStats& st = runs[i].totals;
     const double pct_calls =
         st.ptp_calls ? 100.0 * static_cast<double>(st.intra_calls) /
                            static_cast<double>(st.ptp_calls)

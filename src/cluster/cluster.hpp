@@ -60,7 +60,7 @@ struct ClusterConfig {
   /// linkdown/nicdown clauses. Empty (the default) leaves the data path
   /// bit-identical to a build without the fault layer. Parse from a CLI
   /// spec with fault::FaultPlan::parse.
-  fault::FaultPlan faults;
+  fault::FaultPlan faults{};
 
   /// Progress guard: when nonzero, the engine refuses to advance its
   /// clock past this horizon and throws sim::LivelockError carrying a
@@ -71,11 +71,11 @@ struct ClusterConfig {
 
   // Ablation/calibration hooks: mutate the default hardware or channel
   // parameters before construction.
-  std::function<void(ib::IbConfig&)> tweak_ib;
-  std::function<void(gm::GmConfig&)> tweak_gm;
-  std::function<void(elan::ElanConfig&)> tweak_elan;
-  std::function<void(mpi::RdvChannelConfig&)> tweak_channel;
-  std::function<void(mpi::ElanChannelConfig&)> tweak_elan_channel;
+  std::function<void(ib::IbConfig&)> tweak_ib{};
+  std::function<void(gm::GmConfig&)> tweak_gm{};
+  std::function<void(elan::ElanConfig&)> tweak_elan{};
+  std::function<void(mpi::RdvChannelConfig&)> tweak_channel{};
+  std::function<void(mpi::ElanChannelConfig&)> tweak_elan_channel{};
 };
 
 class Cluster {

@@ -14,7 +14,7 @@
 // is shared, and within one single-threaded simulation the draw order per
 // link is the event order, which is itself deterministic.
 //
-// Hot-path discipline (enforced by tools/simlint.py): packet_verdict and
+// Hot-path discipline (enforced by tools/simcheck): packet_verdict and
 // reg_should_fail allocate nothing and consult only the pre-sized dense
 // per-link table built at construction time.
 #pragma once

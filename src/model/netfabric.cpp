@@ -130,7 +130,7 @@ NetFabric::NetFabric(sim::Engine& eng, std::vector<NodeHw*> nodes,
 NetFabric::~NetFabric() = default;
 
 void NetFabric::run_on_node(int src_node, int dst_node,
-                            // simlint-allow: model-alloc (error path only)
+                            // simcheck-allow: model-alloc (error path only)
                             std::function<void()> fn) {
   if (fail_stop_armed_ && src_node != dst_node &&
       error_notify_delay_ > sim::Time::zero()) {
@@ -698,12 +698,12 @@ void NetFabric::set_fault_plan(const fault::FaultPlan& plan) {
 
 void NetFabric::post_switch_broadcast(int src, std::uint64_t bytes,
                                       sim::Time extra_setup,
-                                      // simlint-allow: model-alloc (per-broadcast)
+                                      // simcheck-allow: model-alloc (per bcast)
                                       std::function<void()> on_delivered) {
   ++bcasts_posted_;
   auto task = [](NetFabric& self, int src, std::uint64_t bytes,
                  sim::Time extra_setup,
-                 // simlint-allow: model-alloc (per-broadcast callback)
+                 // simcheck-allow: model-alloc (per-broadcast callback)
                  std::function<void()> on_delivered) -> sim::Task<void> {
     co_await self.eng_->delay(self.nic_.per_msg_setup + extra_setup);
 
@@ -718,7 +718,7 @@ void NetFabric::post_switch_broadcast(int src, std::uint64_t bytes,
       sim::Trigger done;
       Fanout(sim::Engine& e, std::size_t n) : remaining(n), done(e) {}
     };
-    auto fan = std::make_shared<Fanout>(  // simlint-allow: model-alloc
+    auto fan = std::make_shared<Fanout>(  // simcheck-allow: model-alloc
         *self.eng_, plan.packets * std::max<std::size_t>(peers, 1));
 
     auto leg = [](NetFabric& self, int src, int dst, std::uint64_t pkt,

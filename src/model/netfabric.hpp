@@ -23,7 +23,7 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>  // simlint-allow: model-alloc
+#include <functional>  // simcheck-allow: model-alloc
 #include <memory>
 #include <string>
 #include <vector>
@@ -56,15 +56,15 @@ struct NetMsg {
   /// directed-send acknowledgement); eager sends complete when the last
   /// byte has left the sender NIC.
   bool complete_on_delivery = false;
-  std::function<void()> local_complete;  // simlint-allow: model-alloc
-  std::function<void()> remote_arrival;  // simlint-allow: model-alloc
+  std::function<void()> local_complete;  // simcheck-allow: model-alloc
+  std::function<void()> remote_arrival;  // simcheck-allow: model-alloc
   /// Fired (instead of the callbacks above that have not yet fired) when
   /// the fabric's recovery protocol exhausts its retry budget for this
   /// message — the QP-error / give-up surface the MPI device turns into an
   /// error Status. Null means the device cannot handle transport errors;
   /// the message is then silently dropped on exhaustion (audited as
   /// errored either way).
-  std::function<void()> on_failed;  // simlint-allow: model-alloc
+  std::function<void()> on_failed;  // simcheck-allow: model-alloc
 };
 
 /// Per-fabric recovery protocol parameters (see DESIGN.md "fault &
@@ -146,7 +146,7 @@ class NetFabric {
   /// indication is a wire-borne event (a NACK / teardown crossing the
   /// link), so it cannot be observed instantly.
   void run_on_node(int src_node, int dst_node,
-                   // simlint-allow: model-alloc (error path only)
+                   // simcheck-allow: model-alloc (error path only)
                    std::function<void()> fn);
 
   /// Wire latency charged to cross-node error notifications under a
@@ -231,7 +231,7 @@ class NetFabric {
   /// with the same pipelining granularity as unicast messages.
   void post_switch_broadcast(int src, std::uint64_t bytes,
                              sim::Time extra_setup,
-                             // simlint-allow: model-alloc (per-broadcast callback)
+                             // simcheck-allow: model-alloc (per-broadcast)
                              std::function<void()> on_delivered);
 
  protected:

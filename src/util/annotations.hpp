@@ -6,11 +6,8 @@
 // has been reviewed and is amortized or warm-up-only — but simcheck still
 // descends into its callees, so the exemption does not leak downward.
 // Annotate the narrowest function that owns the allocation, never a whole
-// step function.
+// step function. simcheck reads the MNS_HOT token from the source, so the
+// macro expands to nothing.
 #pragma once
 
-#if defined(__clang__)
-#define MNS_HOT [[clang::annotate("mns_hot")]]
-#else
 #define MNS_HOT
-#endif

@@ -112,7 +112,7 @@ int run_cli_thunk(int (*fn)(void*), void* ctx) {
     // Malformed flag values (--seed=abc, --faults=drop:x) are user error,
     // not a crash: print the message and exit with a distinct code
     // instead of letting the exception escape main into std::terminate.
-    std::fprintf(stderr, "error: %s\n", e.what());  // simlint-allow: stdout
+    std::fprintf(stderr, "error: %s\n", e.what());  // simcheck-allow: stdout
     return 2;
   }
 }

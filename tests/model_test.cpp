@@ -1,10 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "model/bus.hpp"
 #include "model/memcpy_model.hpp"
 #include "model/nic_tlb.hpp"
 #include "model/pipe.hpp"
-#include "model/pipeline.hpp"
 #include "model/regcache.hpp"
 #include "model/switch.hpp"
 #include "sim/engine.hpp"
@@ -281,69 +282,6 @@ TEST(NicTlb, PageSpanRounding) {
   // 1 byte crossing into a page counts that page.
   const Time t = tlb.access(4095, 2);  // touches pages 0 and 1
   EXPECT_EQ(t, Time::ns(200));
-}
-
-TEST(PipelinedTransfer, BandwidthSetBySlowestStage) {
-  Engine eng;
-  Pipe fast1(eng, 4e9), slow(eng, 1e9), fast2(eng, 4e9);
-  Time done;
-  eng.spawn([](Engine& e, Pipe& a, Pipe& b, Pipe& c, Time& out) -> Task<> {
-    std::vector<Pipe*> stages{&a, &b, &c};
-    co_await pipelined_transfer(e, stages, 1'000'000, 4096);
-    out = e.now();
-  }(eng, fast1, slow, fast2, done));
-  eng.run();
-  // ~1 ms through the 1 GB/s bottleneck, plus one packet's worth of
-  // latency through the other stages.
-  EXPECT_GT(done, Time::us(1000));
-  EXPECT_LT(done, Time::us(1010));
-}
-
-TEST(PipelinedTransfer, SinglePacketSumsStages) {
-  Engine eng;
-  Pipe a(eng, 1e9), b(eng, 1e9);
-  Time done;
-  eng.spawn([](Engine& e, Pipe& a, Pipe& b, Time& out) -> Task<> {
-    std::vector<Pipe*> stages{&a, &b};
-    co_await pipelined_transfer(e, stages, 1000, 4096);
-    out = e.now();
-  }(eng, a, b, done));
-  eng.run();
-  EXPECT_EQ(done, Time::us(2));
-}
-
-TEST(PipelinedTransfer, ZeroBytesTraversesOnce) {
-  Engine eng;
-  Pipe a(eng, 1e9, Time::ns(100)), b(eng, 1e9, Time::ns(100));
-  Time done;
-  eng.spawn([](Engine& e, Pipe& a, Pipe& b, Time& out) -> Task<> {
-    std::vector<Pipe*> stages{&a, &b};
-    co_await pipelined_transfer(e, stages, 0, 4096);
-    out = e.now();
-  }(eng, a, b, done));
-  eng.run();
-  EXPECT_EQ(done, Time::ns(200));
-}
-
-TEST(PipelinedTransfer, TwoMessagesShareFairly) {
-  // Two concurrent 1 MB messages through one bottleneck finish in ~2x the
-  // single-message time, and neither starves.
-  Engine eng;
-  Pipe stage(eng, 1e9);
-  Time done1, done2;
-  auto send = [](Engine& e, Pipe& s, Time& out) -> Task<> {
-    std::vector<Pipe*> stages{&s};
-    co_await pipelined_transfer(e, stages, 1'000'000, 4096);
-    out = e.now();
-  };
-  eng.spawn(send(eng, stage, done1));
-  eng.spawn(send(eng, stage, done2));
-  eng.run();
-  // Packets interleave, so both finish near 2 ms.
-  EXPECT_GT(done1, Time::us(1990));
-  EXPECT_LE(done1, Time::us(2005));
-  EXPECT_GT(done2, Time::us(1990));
-  EXPECT_LE(done2, Time::us(2005));
 }
 
 }  // namespace

@@ -1,8 +1,7 @@
 // Shared scaffolding for the simcheck rule fixtures: a minimal coroutine
 // task type and a tiny engine facade, just enough for the known-bad and
-// known-good translation units to exercise each rule with both frontends
-// (libclang parses this for real; the token frontend only needs the
-// shapes). Deliberately dependency-free.
+// known-good translation units to give each structural rule the shapes it
+// recognizes. Deliberately dependency-free.
 #pragma once
 
 #include <coroutine>
@@ -10,11 +9,7 @@
 #include <utility>
 
 #ifndef MNS_HOT
-#if defined(__clang__)
-#define MNS_HOT [[clang::annotate("mns_hot")]]
-#else
 #define MNS_HOT
-#endif
 #endif
 
 namespace fix {

@@ -1,6 +1,6 @@
 // known-good: every same-frame coroutine-lambda idiom the rule must not
-// flag — awaited in place, passed to the synchronous run() driver, and a
-// by-value capture handed to spawn().
+// flag — awaited in place, passed to the synchronous run() driver, named
+// and only ever co_awaited — and a by-value capture handed to spawn().
 #include <cstdint>
 
 #include "fixture_prelude.hpp"
@@ -21,6 +21,16 @@ void run_driver(fix::Engine& eng) {
     co_await fix::sleep_ps(10);
     budget -= 1;  // safe: run() drains the engine before returning
   });
+}
+
+fix::Task named_and_awaited() {
+  std::int64_t budget = 100;
+  auto step = [&]() -> fix::Task {
+    co_await fix::sleep_ps(10);
+    budget -= 1;  // safe: every use of `step` is co_awaited right here
+  };
+  co_await step();
+  co_await step();
 }
 
 void value_capture(fix::Engine& eng) {

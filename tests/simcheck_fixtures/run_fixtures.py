@@ -5,11 +5,11 @@ translation units and stays silent on the known-good ones.
 pytest-style test_* functions, but runnable with plain python3 (ctest
 invokes this file directly; pytest is not a dependency). Each test runs
 the real CLI as a subprocess against a synthetic compile_commands.json
-spanning one fixture group, with the default hot roots replaced by the
-fixtures' own (`HotMachine::step_event`, `Dispatcher::step_event`).
-
-The fallback frontend is exercised always; the libclang frontend is
-exercised additionally whenever the bindings load on this host.
+spanning one fixture group's top-level sources, with the default hot
+roots replaced by the fixtures' own (`HotMachine::step_event`,
+`Dispatcher::step_event`). The group's fault/, model/ and sweep/
+subdirectories hold no translation unit: only the pattern rules, which
+walk every file under --root, see them.
 """
 
 from __future__ import annotations
@@ -26,18 +26,6 @@ CLI = REPO / "tools" / "simcheck" / "cli.py"
 HOT_ROOTS = ["HotMachine::step_event$", "Dispatcher::step_event$"]
 
 
-def frontends() -> list[str]:
-    fes = ["fallback"]
-    sys.path.insert(0, str(REPO / "tools"))
-    try:
-        from simcheck import parse_clang
-        if parse_clang.available():
-            fes.append("clang")
-    except Exception:
-        pass
-    return fes
-
-
 def write_compdb(tmp: Path, group: Path) -> Path:
     entries = [{
         "directory": str(tmp),
@@ -51,15 +39,14 @@ def write_compdb(tmp: Path, group: Path) -> Path:
     return cc
 
 
-def run_simcheck(group_name: str, frontend: str, tmp: Path):
+def run_simcheck(group_name: str, tmp: Path):
     group = FIXTURES / group_name
     cc = write_compdb(tmp, group)
-    findings_path = tmp / f"findings_{group_name}_{frontend}.json"
-    state_path = tmp / f"state_{group_name}_{frontend}.json"
+    findings_path = tmp / f"findings_{group_name}.json"
+    state_path = tmp / f"state_{group_name}.json"
     cmd = [sys.executable, str(CLI),
            "--compile-commands", str(cc),
            "--root", str(group),
-           "--frontend", frontend,
            "--no-default-hot-roots",
            "--findings-json", str(findings_path),
            "--state-json", str(state_path),
@@ -68,7 +55,7 @@ def run_simcheck(group_name: str, frontend: str, tmp: Path):
         cmd += ["--hot-root", hr]
     proc = subprocess.run(cmd, capture_output=True, text=True)
     assert proc.returncode in (0, 1), (
-        f"simcheck crashed ({proc.returncode}) on {group_name}/{frontend}:"
+        f"simcheck crashed ({proc.returncode}) on {group_name}:"
         f"\n{proc.stdout}\n{proc.stderr}")
     findings = json.loads(findings_path.read_text(encoding="utf-8"))
     state = json.loads(state_path.read_text(encoding="utf-8"))
@@ -81,9 +68,9 @@ def in_file(findings, rule: str, basename: str, severity: str = "error"):
             and Path(f["file"]).name == basename]
 
 
-def test_bad_fixtures_fire_every_rule(frontend: str, tmp: Path) -> None:
-    rc, findings, state = run_simcheck("bad", frontend, tmp)
-    assert rc == 1, f"expected exit 1 on bad/ ({frontend}), got {rc}"
+def test_bad_fixtures_fire_every_rule(tmp: Path) -> None:
+    rc, findings, state = run_simcheck("bad", tmp)
+    assert rc == 1, f"expected exit 1 on bad/, got {rc}"
 
     ptr = in_file(findings, "ptr-key", "ptr_key.cpp")
     assert len(ptr) == 3, f"ptr-key: want 3 findings, got {ptr}"
@@ -96,15 +83,18 @@ def test_bad_fixtures_fire_every_rule(frontend: str, tmp: Path) -> None:
     assert any("new" in f["message"] or "commit" in (f["chain"] or "")
                for f in hot), f"hot-alloc: transitive new not found: {hot}"
 
+    # Both escapes: the spawn() argument and the lambda stored in a local
+    # container.
     coro = in_file(findings, "coro-ref-escape", "coro_escape.cpp")
-    assert len(coro) >= 1, f"coro-ref-escape: want >=1 finding, got {coro}"
+    assert len(coro) == 2, f"coro-ref-escape: want 2 findings, got {coro}"
+    assert any("push_back" in f["message"] for f in coro), coro
 
-    pdes = in_file(findings, "pdes-static", "pdes_static.cpp")
-    assert len(pdes) == 2, f"pdes-static: want 2 errors, got {pdes}"
+    shared = in_file(findings, "shared-static", "shared_static.cpp")
+    assert len(shared) == 2, f"shared-static: want 2 errors, got {shared}"
 
     # Handler-unreachable mutable statics are advisory, never gating.
-    off = [f for f in in_file(findings, "pdes-static", "pdes_static.cpp",
-                              "info")
+    off = [f for f in in_file(findings, "shared-static",
+                              "shared_static.cpp", "info")
            if "g_offline_tally" in f["message"]]
     assert len(off) == 1, f"unreached static should be info-only: {findings}"
 
@@ -123,19 +113,44 @@ def test_bad_fixtures_fire_every_rule(frontend: str, tmp: Path) -> None:
     assert state["summary"]["gating"] == 2, state["summary"]
 
     # The gate's verdict is recorded in the state json itself.
-    assert state["verdict"]["rule"] == "pdes-static", state["verdict"]
+    assert state["verdict"]["rule"] == "shared-static", state["verdict"]
     assert state["verdict"]["status"] == "fail", state["verdict"]
     assert state["verdict"]["gating_findings"] == 2, state["verdict"]
 
 
-def test_good_fixtures_stay_silent(frontend: str, tmp: Path) -> None:
-    rc, findings, state = run_simcheck("good", frontend, tmp)
+# (rule, file) -> findings the pattern rules must report on bad/. Files
+# under fault/ and model/ also check directory gating: make_shared in
+# model/flow.cpp is a fault-alloc construct but fires only model-alloc.
+BAD_PATTERNS = {
+    ("wall-clock", "patterns.cpp"): 1,
+    ("randomness", "patterns.cpp"): 1,
+    ("stdout", "patterns.cpp"): 1,
+    ("threading", "patterns.cpp"): 2,
+    ("fault-alloc", "fault/verdict.cpp"): 3,
+    ("model-alloc", "model/flow.cpp"): 2,
+}
+
+
+def test_bad_fixtures_fire_every_pattern_rule(tmp: Path) -> None:
+    _, findings, _ = run_simcheck("bad", tmp)
+    rules = {rule for rule, _ in BAD_PATTERNS}
+    got: dict[tuple[str, str], int] = {}
+    for f in findings:
+        if f["rule"] in rules:
+            key = (f["rule"], f["file"])
+            got[key] = got.get(key, 0) + 1
+    assert got == BAD_PATTERNS, f"pattern findings: want {BAD_PATTERNS}, "\
+        f"got {got}"
+
+
+def test_good_fixtures_stay_silent(tmp: Path) -> None:
+    rc, findings, state = run_simcheck("good", tmp)
     errors = [f for f in findings if f["severity"] == "error"]
-    assert not errors, f"good/ must be error-free ({frontend}): {errors}"
-    assert rc == 0, f"expected exit 0 on good/ ({frontend}), got {rc}"
+    assert not errors, f"good/ must be error-free: {errors}"
+    assert rc == 0, f"expected exit 0 on good/, got {rc}"
 
     # thread_local is an info note, never an error.
-    infos = in_file(findings, "pdes-static", "pdes_static.cpp", "info")
+    infos = in_file(findings, "shared-static", "shared_static.cpp", "info")
     assert any("t_scratch" in f["message"] for f in infos), (
         f"thread_local should surface as info: {findings}")
 
@@ -152,11 +167,11 @@ def test_good_fixtures_stay_silent(frontend: str, tmp: Path) -> None:
     assert state["verdict"]["gating_findings"] == 0, state["verdict"]
 
 
-def test_missing_compdb_is_usage_error(frontend: str, tmp: Path) -> None:
+def test_missing_compdb_is_usage_error(tmp: Path) -> None:
     proc = subprocess.run(
         [sys.executable, str(CLI),
          "--compile-commands", str(tmp / "nope.json"),
-         "--root", str(FIXTURES), "--frontend", frontend],
+         "--root", str(FIXTURES)],
         capture_output=True, text=True)
     assert proc.returncode == 2, proc
 
@@ -167,16 +182,14 @@ def main() -> int:
     failed = 0
     with tempfile.TemporaryDirectory(prefix="simcheck_fixtures_") as td:
         tmp = Path(td)
-        for fe in frontends():
-            for name, fn in tests:
-                label = f"{name}[{fe}]"
-                try:
-                    fn(fe, tmp)
-                except AssertionError as exc:
-                    failed += 1
-                    print(f"FAIL {label}: {exc}")
-                else:
-                    print(f"PASS {label}")
+        for name, fn in tests:
+            try:
+                fn(tmp)
+            except AssertionError as exc:
+                failed += 1
+                print(f"FAIL {name}: {exc}")
+            else:
+                print(f"PASS {name}")
     if failed:
         print(f"{failed} fixture test(s) failed")
         return 1

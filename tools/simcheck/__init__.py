@@ -1,15 +1,34 @@
-"""simcheck: semantic determinism analysis for the mpinetsim simulator.
+"""simcheck: determinism analysis for the mpinetsim simulator.
 
-Where tools/simlint.py enforces the determinism contract with per-line
-regexes, simcheck reasons about *structure*: declarations and their types,
-function bodies and the call graph, lambda captures and their escape
-routes, statics and who reaches them. It ships the four rule families the
-regexes cannot express:
+The simulator's contract is determinism: a run is a pure function of
+(config, seed), whatever --jobs, thread placement or host heap layout.
+simcheck enforces that statically with two kinds of rule.
+
+Pattern rules match the comment- and string-stripped text line by line,
+over every C++ source file under --root:
+
+  wall-clock       no std::chrono system/steady/high_resolution clocks,
+                   time(), gettimeofday(), clock_gettime() — simulated
+                   time comes from sim::Engine.
+  randomness       no std::random_device, rand(), srand() — randomness
+                   flows through the seeded generators in util/rng.hpp.
+  stdout           no std::cout / std::cerr / printf in library code.
+  threading        no std::thread / mutex / atomic / future / ... outside
+                   a `sweep/` directory: parallelism lives only between
+                   independent simulations (SweepRunner).
+  fault-alloc      under `fault/`: no heap allocation and no <random>
+                   engines or distributions (not bit-portable across
+                   standard libraries) on the injector's per-packet paths.
+  model-alloc      under `model/`: no std::make_shared / std::function;
+                   the data path is pooled state machines.
+
+Structural rules run over the IR that parse.py builds from the
+translation units in compile_commands.json and the project headers they
+include:
 
   ptr-key          std::map/std::set (and unordered cousins) keyed on a
                    pointer type — iteration order then depends on host
-                   addresses, the exact bug class mpi::Mpi::canon papers
-                   over for regcache/MMU timings.
+                   addresses.
   unordered-iter   iteration over an unordered_* container whose loop body
                    can leak the (host-hash-dependent) visit order into
                    sim-visible state: writes to members/globals, mutating
@@ -23,7 +42,13 @@ regexes cannot express:
                    allocation boundary (slab refill, amortized heap growth)
                    carry the MNS_HOT annotation: their own body is exempt,
                    their callees are still checked.
-  pdes-static      Shared-state audit for SweepRunner (--jobs) threads,
+  coro-ref-escape  a coroutine lambda that captures by reference is legal
+                   only where it provably finishes inside the declaring
+                   frame: awaited in place, the first argument of the
+                   synchronous run() driver, or a named local that is only
+                   ever co_awaited. Anything else (spawn() arguments,
+                   returns, stored lambdas, call arguments) is flagged.
+  shared-static    shared-state audit for SweepRunner (--jobs) threads,
                    which run independent simulations concurrently: every
                    namespace-scope/static/thread_local variable, classified
                    (mutable / per-thread / const-after-init), with the set
@@ -33,15 +58,10 @@ regexes cannot express:
                    findings; per-thread and const-after-init state is
                    reported but legal.
 
-Two interchangeable frontends feed the same IR:
-
-  clang     libclang (python clang.cindex) over compile_commands.json —
-            real AST, types and scopes. Used when the bindings and a
-            loadable libclang are present.
-  fallback  a token/scope analyzer with no dependencies beyond the Python
-            stdlib. Runs everywhere (CI stays green on minimal hosts),
-            understands this codebase's idioms, and is what the fixture
-            suite pins down rule by rule.
+Suppress a finding with `// simcheck-allow: <rule>` on its line or the
+line above. The parser needs nothing beyond the Python stdlib, so the
+check runs the same on every host; the fixture suite in
+tests/simcheck_fixtures pins every rule.
 
 `python3 tools/simcheck/cli.py --help` for usage.
 """

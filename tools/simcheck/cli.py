@@ -4,9 +4,7 @@
         --root src --state-json build/simcheck_state.json
 
 Exit status: 0 clean (or only info notes), 1 error findings, 2 usage /
-environment failure. --frontend auto prefers libclang when it loads and
-silently falls back to the dependency-free token frontend otherwise, so
-the check gates on every host."""
+environment failure."""
 
 from __future__ import annotations
 
@@ -16,10 +14,9 @@ from pathlib import Path
 
 if __package__ in (None, ""):  # direct invocation: bootstrap the package
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
-    from simcheck import compdb, parse_fallback, report, rules  # type: ignore
-    from simcheck import parse_clang  # type: ignore
+    from simcheck import compdb, parse, report, rules  # type: ignore
 else:
-    from . import compdb, parse_clang, parse_fallback, report, rules
+    from . import compdb, parse, report, rules
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -30,8 +27,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="path to compile_commands.json")
     p.add_argument("--root", required=True, type=Path,
                    help="source root to analyze (files outside are ignored)")
-    p.add_argument("--frontend", choices=("auto", "clang", "fallback"),
-                   default="auto")
     p.add_argument("--state-json", type=Path, default=None,
                    help="write the shared-state inventory here")
     p.add_argument("--findings-json", type=Path, default=None,
@@ -67,35 +62,23 @@ def main(argv: list[str] | None = None) -> int:
         print("simcheck: no hot roots configured", file=sys.stderr)
         return 2
 
-    frontend = args.frontend
-    if frontend == "auto":
-        frontend = "clang" if parse_clang.available() else "fallback"
-    elif frontend == "clang" and not parse_clang.available():
-        print("simcheck: --frontend clang requested but libclang is not "
-              "loadable", file=sys.stderr)
+    inputs = compdb.collect_inputs(args.compile_commands, root)
+    if not inputs:
+        print(f"simcheck: no sources under {root} in "
+              f"{args.compile_commands}", file=sys.stderr)
         return 2
-
-    if frontend == "clang":
-        db = compdb.load_compdb(args.compile_commands)
-        sm = parse_clang.parse_with_clang(db, root)
-    else:
-        inputs = compdb.collect_inputs(args.compile_commands, root)
-        if not inputs:
-            print(f"simcheck: no sources under {root} in "
-                  f"{args.compile_commands}", file=sys.stderr)
-            return 2
-        sm = parse_fallback.parse_files(inputs)
-
-    findings, inventory = rules.run_all(sm, hot_roots)
+    sm = parse.parse_files(inputs)
+    tree = compdb.source_tree(root)
+    findings, inventory = rules.run_all(sm, tree, hot_roots)
 
     if args.state_json:
-        report.write_state_json(args.state_json, inventory, frontend,
-                                hot_roots, findings)
+        report.write_state_json(args.state_json, inventory, hot_roots,
+                                findings)
     if args.findings_json:
         args.findings_json.write_text(report.findings_json(findings),
                                       encoding="utf-8")
     if not args.quiet:
-        print(report.render_text(findings, frontend, len(sm.files),
+        print(report.render_text(findings, len(sm.files), len(tree),
                                  len(sm.functions)))
     return 1 if any(f.severity == "error" for f in findings) else 0
 

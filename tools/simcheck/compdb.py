@@ -1,6 +1,7 @@
-"""compile_commands.json handling: enumerate the translation units under a
-source root, plus the project headers they pull in, so both frontends see
-the same file set."""
+"""Input enumeration: the translation units under a source root from
+compile_commands.json plus the project headers they pull in (what the
+parser reads), and every C++ source file under the root (what the
+pattern rules read, so a header no unit includes is still linted)."""
 
 from __future__ import annotations
 
@@ -10,6 +11,7 @@ import shlex
 from pathlib import Path
 
 _INCLUDE_RE = re.compile(r'^\s*#\s*include\s*"([^"]+)"', re.MULTILINE)
+SOURCE_SUFFIXES = {".hpp", ".cpp"}
 
 
 def load_compdb(path: Path) -> list[dict]:
@@ -52,8 +54,8 @@ def tu_sources(compdb: list[dict], root: Path) -> list[Path]:
 def project_headers(sources: list[Path], root: Path,
                     include_dirs: list[Path]) -> list[Path]:
     """Headers transitively reachable from `sources` via quoted includes,
-    restricted to files under root. Keeps the fallback frontend honest:
-    it sees exactly the project code the TUs compile."""
+    restricted to files under root. Keeps the parser honest: it sees
+    exactly the project code the TUs compile."""
     root = root.resolve()
     seen: set[Path] = set()
     work = list(sources)
@@ -120,3 +122,11 @@ def collect_inputs(compdb_path: Path, root: Path) -> list[tuple[Path, str]]:
     for p in sorted(set(srcs) | set(hdrs)):
         out.append((p, p.relative_to(root.resolve()).as_posix()))
     return out
+
+
+def source_tree(root: Path) -> list[tuple[Path, str]]:
+    """(path, display name) pairs for every C++ source file under root."""
+    root = root.resolve()
+    return [(p, p.relative_to(root).as_posix())
+            for p in sorted(root.rglob("*"))
+            if p.suffix in SOURCE_SUFFIXES and p.is_file()]

@@ -1,10 +1,10 @@
-"""Lexical layer shared by the fallback frontend: comment/string stripping
-(preserving line structure), suppression-comment harvesting, and a small
-C++ tokenizer that keeps line numbers.
+"""Lexical layer: comment/string stripping (preserving line structure),
+suppression-comment harvesting, and a small C++ tokenizer that keeps line
+numbers.
 
-The stripping pass mirrors tools/simlint.py so both tools agree on what a
-suppression comment blesses: a trailing `// simcheck-allow: rule` covers
-its own line; a comment alone on its line covers the line below."""
+The stripped text feeds both the pattern rules (line by line) and the
+tokenizer. A trailing `// simcheck-allow: rule` covers its own line; a
+comment alone on its line covers the next code line below."""
 
 from __future__ import annotations
 
@@ -18,7 +18,8 @@ def strip_and_harvest(text: str) -> tuple[str, dict[int, set[str]]]:
     """Blank comments, string and char literals; collect simcheck-allow
     suppressions per line. An allow comment blesses its own line and the
     next code line below it (comment-only lines in between don't break
-    the chain) — the same semantics as tools/simlint.py."""
+    the chain). Preprocessor directives are kept: the pattern rules match
+    `#include <thread>` and the like; tokenize() blanks them."""
     out: list[str] = []
     allows: dict[int, set[str]] = {}
     pending: list[tuple[int, str]] = []
@@ -67,7 +68,7 @@ def strip_and_harvest(text: str) -> tuple[str, dict[int, set[str]]]:
                 line += 1
             out.append(c)
             i += 1
-    stripped = _blank_directives("".join(out))
+    stripped = "".join(out)
     # Forward each allow to the first non-blank (after stripping) line
     # below its comment, so the allow can sit on the line above.
     stripped_lines = stripped.split("\n")
@@ -131,6 +132,7 @@ LAMBDA_PRECEDERS = frozenset({
 
 
 def tokenize(stripped: str) -> list[Tok]:
+    stripped = _blank_directives(stripped)
     toks: list[Tok] = []
     line = 1
     pos = 0

@@ -1,9 +1,10 @@
-"""The frontend-neutral IR both frontends produce and all rules consume.
+"""The IR the parser produces and the structural rules consume.
 
-The IR is deliberately modest: enough structure for the four rule
-families, nothing more. A frontend that cannot prove a fact leaves the
-field at its "unknown" default — rules only fire on positive evidence, so
-an imprecise frontend under-reports rather than inventing findings."""
+The IR is deliberately modest: enough structure for the rules, nothing
+more. Where the parser cannot prove a fact it leaves the field at its
+"unknown" default — rules only fire on positive evidence, so imprecision
+under-reports rather than inventing findings. (The coroutine rule is the
+exception by design: a lambda whose usage is unknown counts as escaping.)"""
 
 from __future__ import annotations
 
@@ -46,8 +47,9 @@ class LambdaSite:
     by_ref: bool = False         # any by-reference capture
     is_coroutine: bool = False   # co_await/co_return/co_yield in OWN body
     # How the lambda leaves the introducer expression:
-    #   awaited_in_place | immediate_invoke | run_arg | named:<ident> |
-    #   arg:<callee> | returned | assigned:<target> | unknown
+    #   awaited_in_place | immediate_invoke | run_arg | named_awaited |
+    #   named:<ident> | arg:<callee> | returned | assigned:<target> |
+    #   unknown
     usage: str = "unknown"
 
 
@@ -103,8 +105,7 @@ class ClassInfo:
 
 @dataclass
 class SourceModel:
-    """Everything the frontends extracted from one run."""
-    frontend: str = "fallback"
+    """Everything the parser extracted from one run."""
     functions: list[Function] = field(default_factory=list)
     classes: dict[str, ClassInfo] = field(default_factory=dict)
     statics: list[StaticVar] = field(default_factory=list)

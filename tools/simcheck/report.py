@@ -9,9 +9,9 @@ from pathlib import Path
 from .model import Finding
 
 
-def render_text(findings: list[Finding], frontend: str,
-                n_files: int, n_functions: int) -> str:
-    lines = [f"simcheck: frontend={frontend} files={n_files} "
+def render_text(findings: list[Finding], n_parsed: int, n_linted: int,
+                n_functions: int) -> str:
+    lines = [f"simcheck: parsed={n_parsed} linted={n_linted} "
              f"functions={n_functions}"]
     errors = [f for f in findings if f.severity == "error"]
     infos = [f for f in findings if f.severity != "error"]
@@ -33,14 +33,13 @@ def findings_json(findings: list[Finding]) -> str:
     } for f in findings], indent=2) + "\n"
 
 
-def write_state_json(path: Path, inventory: list[dict], frontend: str,
+def write_state_json(path: Path, inventory: list[dict],
                      hot_roots: list[str],
                      findings: list[Finding] | None = None) -> None:
-    pdes = [f for f in (findings or []) if f.rule == "pdes-static"]
-    gating = sum(1 for f in pdes if f.severity == "error")
+    shared = [f for f in (findings or []) if f.rule == "shared-static"]
+    gating = sum(1 for f in shared if f.severity == "error")
     doc = {
-        "schema": "simcheck_state/2",
-        "frontend": frontend,
+        "schema": "simcheck_state/3",
         "hot_roots": hot_roots,
         "statics": inventory,
         "summary": {
@@ -57,10 +56,10 @@ def write_state_json(path: Path, inventory: list[dict], frontend: str,
         # The gate simcheck_src enforces: fail iff a mutable shared
         # static is reachable from an event handler and not annotated.
         "verdict": {
-            "rule": "pdes-static",
+            "rule": "shared-static",
             "status": "fail" if gating else "pass",
             "gating_findings": gating,
-            "advisory_findings": len(pdes) - gating,
+            "advisory_findings": len(shared) - gating,
         },
     }
     path.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")

@@ -1,14 +1,17 @@
-"""The four rule families, evaluated over a SourceModel.
+"""simcheck's rules, evaluated over a SourceModel and the source tree.
 
 Every rule fires on positive evidence only; suppression is per-line via
-`// simcheck-allow: <rule>` (same line or the line above, mirroring
-simlint). Severity 'info' findings are reported and land in
-simcheck_state.json but never affect the exit status."""
+`// simcheck-allow: <rule>` (same line or the line above). Severity
+'info' findings are reported and land in simcheck_state.json but never
+affect the exit status."""
 
 from __future__ import annotations
 
 import re
+from dataclasses import dataclass
+from pathlib import Path
 
+from .lex import strip_and_harvest
 from .model import Finding, Function, SourceModel
 
 # Functions that anchor the simulator's per-event hot paths: the MsgFlow
@@ -34,15 +37,6 @@ DEFAULT_HOT_ROOTS = [
     r"Pipe::(reserve|reserve_after)$",
     r"Cpu::(compute|busy)$",
 ]
-
-# Callees that defer their lambda argument beyond the current frame — a
-# by-reference coroutine lambda handed to one of these escapes its scope.
-# Engine::run is NOT here: run() drains the simulation synchronously, so
-# the caller's frame outlives every event it schedules.
-DEFERRING_CALLEES = {
-    "spawn", "at", "at_cancellable", "schedule", "post", "defer",
-    "enqueue", "submit", "start", "later",
-}
 
 # Ambiguity cap for name-only call resolution: beyond this many same-name
 # candidates we treat the call as unresolvable rather than explode the
@@ -277,50 +271,60 @@ def rule_hot_alloc(sm: SourceModel,
     return out
 
 
-# -- rule 4 (upgraded simlint rule): coroutine ref-capture escape -----------
+# -- rule 4: coroutine ref-capture escape -----------------------------------
 
-def _escapes(usage: str) -> str:
-    """Non-empty reason when a lambda usage escapes the current frame."""
-    if usage == "returned":
+# A by-reference coroutine lambda is legal only where its frame provably
+# finishes before the declaring frame does: awaited in place
+# (`co_await [&]{...}()`), the first argument of the synchronous run()
+# driver, or a named local whose every use is co_awaited. Every other
+# usage escapes: the lambda object, and the locals it references, die
+# with the declaring scope while the coroutine frame lives on.
+SAME_FRAME_USAGES = {"awaited_in_place", "run_arg", "named_awaited"}
+
+
+def _escape_reason(usage: str) -> str:
+    kind, _, what = usage.partition(":")
+    if kind == "returned":
         return "is returned from the enclosing function"
-    if usage.startswith("arg:"):
-        callee = usage.split(":", 1)[1]
-        if callee in DEFERRING_CALLEES:
-            return f"is passed to {callee}(), which defers it beyond "\
-                   "the frame"
-    if usage.startswith("assigned:"):
-        target = usage.split(":", 1)[1]
-        if target.endswith("_"):
-            return f"is stored into member '{target}'"
-    return ""
+    if kind == "arg":
+        return (f"is passed to {what}(), which may keep it past the frame"
+                if what != "?" else "is passed as a call argument")
+    if kind == "assigned":
+        return f"is stored into '{what}'"
+    if kind == "named":
+        return f"is named '{what}' and used other than by co_await"
+    if kind == "immediate_invoke":
+        return "is invoked without co_await, so its frame outlives the "\
+               "temporary lambda"
+    return "is not provably awaited in the declaring frame"
 
 
 def rule_coro_ref_escape(sm: SourceModel) -> list[Finding]:
     out = []
     for fn in sm.functions:
         for lam in fn.lambdas:
-            if not (lam.by_ref and lam.is_coroutine):
-                continue
-            why = _escapes(lam.usage)
-            if not why:
+            if not (lam.by_ref and lam.is_coroutine) or \
+                    lam.usage in SAME_FRAME_USAGES:
                 continue
             if sm.allowed("coro-ref-escape", fn.file, lam.line):
                 continue
             out.append(Finding(
                 rule="coro-ref-escape", file=fn.file, line=lam.line,
                 message=f"{fn.qname}: coroutine lambda captures by "
-                        f"reference [{lam.captures}] and {why}; the "
-                        "frame dies at the first suspension point. "
-                        "Capture by value or pass state as parameters.",
+                        f"reference [{lam.captures}] and "
+                        f"{_escape_reason(lam.usage)}; the captured "
+                        "references dangle at the first suspension "
+                        "point. Capture by value or pass state as "
+                        "coroutine parameters.",
             ))
     return out
 
 
 # -- rule 5: shared-static audit (SweepRunner threads) ----------------------
 
-def pdes_audit(sm: SourceModel,
-               hot_roots: list[str] | None = None
-               ) -> tuple[list[Finding], list[dict]]:
+def shared_static_audit(sm: SourceModel,
+                        hot_roots: list[str] | None = None
+                        ) -> tuple[list[Finding], list[dict]]:
     """Findings for mutable shared statics + the full state inventory
     (for simcheck_state.json), each entry with the event-handler roots
     that can reach it."""
@@ -356,7 +360,7 @@ def pdes_audit(sm: SourceModel,
         else:
             cls = "mutable-shared"
             sev = "error"
-        allowed = sm.allowed("pdes-state", sv.file, sv.line)
+        allowed = sm.allowed("shared-static", sv.file, sv.line)
         # Gating = the --jobs hazard is live: a mutable shared static an
         # event handler can actually reach, with no allow annotation.
         gating = (cls == "mutable-shared" and bool(reached_by)
@@ -373,7 +377,7 @@ def pdes_audit(sm: SourceModel,
         if cls == "mutable-shared":
             if reached_by:
                 findings.append(Finding(
-                    rule="pdes-static", file=sv.file, line=sv.line,
+                    rule="shared-static", file=sv.file, line=sv.line,
                     message=f"mutable {sv.kind.replace('_', ' ')} "
                             f"'{sv.qname}' is shared sim state reachable "
                             "from an event handler; simulations running "
@@ -381,12 +385,12 @@ def pdes_audit(sm: SourceModel,
                             "would race or diverge on it. Move it "
                             "into an engine-owned object, make it const "
                             "or thread_local, or annotate the line above "
-                            "with 'simcheck-allow: pdes-state' and a "
+                            "with 'simcheck-allow: shared-static' and a "
                             "justification.",
                     chain=", ".join(reached_by)))
             else:
                 findings.append(Finding(
-                    rule="pdes-static", file=sv.file, line=sv.line,
+                    rule="shared-static", file=sv.file, line=sv.line,
                     severity="info",
                     message=f"mutable {sv.kind.replace('_', ' ')} "
                             f"'{sv.qname}' is shared state no event "
@@ -396,7 +400,7 @@ def pdes_audit(sm: SourceModel,
                     chain=""))
         elif cls == "per-thread":
             findings.append(Finding(
-                rule="pdes-static", file=sv.file, line=sv.line,
+                rule="shared-static", file=sv.file, line=sv.line,
                 severity="info",
                 message=f"thread_local '{sv.qname}' is safe across "
                         "SweepRunner threads (each simulation runs on "
@@ -406,14 +410,112 @@ def pdes_audit(sm: SourceModel,
     return findings, inventory
 
 
-def run_all(sm: SourceModel, hot_roots: list[str] | None = None
+# -- rule 6: per-line pattern bans ------------------------------------------
+
+@dataclass(frozen=True)
+class PatternRule:
+    """One per-line ban over the stripped text. `only_dir` limits the rule
+    to files under a directory of that name (relative to --root);
+    `exempt_dir` skips such files."""
+    name: str
+    pattern: re.Pattern
+    message: str
+    only_dir: str = ""
+    exempt_dir: str = ""
+
+    def applies_to(self, rel: str) -> bool:
+        dirs = rel.split("/")[:-1]
+        if self.only_dir and self.only_dir not in dirs:
+            return False
+        return not (self.exempt_dir and self.exempt_dir in dirs)
+
+
+PATTERN_RULES = [
+    PatternRule(
+        "wall-clock",
+        re.compile(
+            r"std::chrono::(system_clock|steady_clock|high_resolution_clock)"
+            r"|(?<![\w.:>])(gettimeofday|clock_gettime|localtime|gmtime)\s*\("
+            r"|(?<![\w.:>])time\s*\(\s*(NULL|nullptr|0)?\s*\)"),
+        "wall-clock access in library code; simulated time comes from "
+        "sim::Engine::now()"),
+    PatternRule(
+        "randomness",
+        re.compile(r"std::random_device|(?<![\w.:>])s?rand\s*\("),
+        "unseeded randomness; use the seeded generators in util/rng.hpp"),
+    PatternRule(
+        "threading",
+        re.compile(
+            r"std::(thread|jthread|async|launch|mutex|shared_mutex"
+            r"|recursive_mutex|timed_mutex|scoped_lock|lock_guard"
+            r"|unique_lock|shared_lock|condition_variable(_any)?"
+            r"|atomic\w*|future|shared_future|packaged_task|barrier"
+            r"|latch|counting_semaphore|binary_semaphore|stop_token"
+            r"|this_thread)\b"
+            r"|#\s*include\s*<(thread|atomic|mutex|shared_mutex|future"
+            r"|condition_variable|barrier|latch|semaphore|stop_token)>"),
+        "threading primitive in simulator code; a simulation is "
+        "single-threaded by contract, and parallelism belongs between "
+        "simulations (src/sweep/) only",
+        exempt_dir="sweep"),
+    PatternRule(
+        "stdout",
+        re.compile(r"std::(cout|cerr|clog)\b|(?<!\w)f?printf\s*\("
+                   r"|(?<!\w)puts\s*\("),
+        "stdout/stderr output in library code; return data and let "
+        "bench/examples/tools print"),
+    PatternRule(
+        "fault-alloc",
+        re.compile(
+            r"std::(make_shared|make_unique|function)\b"
+            r"|(?<![\w.:>])(malloc|calloc|realloc)\s*\("
+            r"|(?<![\w:])new\s+[A-Za-z_:]"
+            r"|std::(mt19937(_64)?|default_random_engine|minstd_rand0?"
+            r"|uniform_(int|real)_distribution|bernoulli_distribution)\b"
+            r"|#\s*include\s*<random>"),
+        "heap allocation or non-portable RNG in src/fault; the injector's "
+        "verdict paths run per packet and must stay allocation-free, "
+        "drawing only from the pre-seeded util/rng.hpp streams, and "
+        "<random> distributions differ between standard libraries",
+        only_dir="fault"),
+    PatternRule(
+        "model-alloc",
+        re.compile(r"std::(make_shared|function)\b"),
+        "type-erased/shared allocation in src/model; the data path runs "
+        "pooled state machines with raw EventFn continuations, so a "
+        "per-message closure or control-path code needs an explicit "
+        "simcheck-allow",
+        only_dir="model"),
+]
+
+
+def rule_patterns(files: list[tuple[Path, str]]) -> list[Finding]:
+    """Apply PATTERN_RULES to every (path, root-relative name) in files,
+    line by line over the comment- and string-stripped text."""
+    out = []
+    for path, rel in files:
+        active = [r for r in PATTERN_RULES if r.applies_to(rel)]
+        text = path.read_text(encoding="utf-8", errors="replace")
+        stripped, allows = strip_and_harvest(text)
+        for line_no, line in enumerate(stripped.split("\n"), start=1):
+            for r in active:
+                if r.pattern.search(line) and \
+                        r.name not in allows.get(line_no, ()):
+                    out.append(Finding(rule=r.name, file=rel, line=line_no,
+                                       message=r.message))
+    return out
+
+
+def run_all(sm: SourceModel, tree: list[tuple[Path, str]],
+            hot_roots: list[str] | None = None
             ) -> tuple[list[Finding], list[dict]]:
     findings: list[Finding] = []
     findings += rule_ptr_key(sm)
     findings += rule_unordered_iter(sm)
     findings += rule_hot_alloc(sm, hot_roots)
     findings += rule_coro_ref_escape(sm)
-    pdes, inventory = pdes_audit(sm, hot_roots)
-    findings += pdes
+    shared, inventory = shared_static_audit(sm, hot_roots)
+    findings += shared
+    findings += rule_patterns(tree)
     findings.sort(key=lambda f: (f.file, f.line, f.rule))
     return findings, inventory
