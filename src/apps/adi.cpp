@@ -233,8 +233,10 @@ sim::Task<AppResult> run_adi(Comm& comm, AdiParams p, Mode mode) {
 
   AppResult out;
   out.app_seconds = comm.wtime() - t0;
+  // Scalars handed to MPI live at function scope for the whole run, as
+  // CG's psum buffers do, not in a block scope of the frame.
+  double s = 0;
   if (real) {
-    double s = 0;
     for (const double v : u) s += v * v;
     co_await comm.allreduce(View::out(&s, 8), 1, Dtype::kDouble, ROp::kSum);
     out.checksum = std::sqrt(s);

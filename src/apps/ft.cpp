@@ -187,6 +187,9 @@ sim::Task<AppResult> run_ft(Comm& comm, FtParams p, Mode mode) {
   };
 
   // Verification round-trip (real mode, before the timed section).
+  // Scalars handed to MPI live at function scope for the whole run, as
+  // CG's psum buffers do, not in a block scope of the frame.
+  double gerr = 0;
   AppResult out;
   if (real) {
     co_await fft3d(-1);
@@ -197,7 +200,7 @@ sim::Task<AppResult> run_ft(Comm& comm, FtParams p, Mode mode) {
     for (std::size_t i = 0; i < slab_n; ++i) {
       max_err = std::max(max_err, std::abs(slab[i] * scale - init[i]));
     }
-    double gerr = max_err;
+    gerr = max_err;
     co_await comm.allreduce(View::out(&gerr, 8), 1, Dtype::kDouble,
                             ROp::kMax);
     out.verified = gerr < 1e-10;

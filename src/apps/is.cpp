@@ -134,6 +134,11 @@ sim::Task<AppResult> run_is(Comm& comm, IsParams p, Mode mode) {
   AppResult out;
   out.app_seconds = comm.wtime() - t0;
 
+  // Scalars handed to MPI live at function scope for the whole run, as
+  // CG's psum buffers do, not in a block scope of the frame.
+  std::int32_t my_max = 0;
+  std::int32_t left_max = 0;
+  std::int64_t n = 0;
   if (real) {
     // Verify: received keys all fall inside my bucket block, sorted
     // neighbours agree at rank boundaries, and no key was lost.
@@ -149,19 +154,17 @@ sim::Task<AppResult> run_is(Comm& comm, IsParams p, Mode mode) {
     std::int32_t my_min = recv_keys.empty()
                               ? std::numeric_limits<std::int32_t>::max()
                               : recv_keys.front();
-    std::int32_t my_max = recv_keys.empty()
-                              ? std::numeric_limits<std::int32_t>::min()
-                              : recv_keys.back();
+    my_max = recv_keys.empty() ? std::numeric_limits<std::int32_t>::min()
+                               : recv_keys.back();
     if (me + 1 < np) {
       co_await comm.send(View::in(&my_max, 4), me + 1, 99);
     }
     if (me > 0) {
-      std::int32_t left_max = 0;
       co_await comm.recv(View::out(&left_max, 4), me - 1, 99);
       ok = ok && left_max <= my_min;
     }
     // Count conservation.
-    std::int64_t n = static_cast<std::int64_t>(received);
+    n = static_cast<std::int64_t>(received);
     co_await comm.allreduce(View::out(&n, 8), 1, Dtype::kInt64, ROp::kSum);
     ok = ok && n == p.total_keys;
     out.verified = ok;

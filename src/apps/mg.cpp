@@ -64,6 +64,9 @@ sim::Task<AppResult> run_mg(Comm& comm, MgParams p, Mode mode) {
   // Laplacian is singular with a constant nullspace, so the source must
   // be projected to zero mean or the V-cycle amplifies the inconsistent
   // component without bound.
+  // The mean goes through a scalar at function scope that lives for the
+  // whole run, as CG's psum buffers do, not in a block scope of the frame.
+  double gsum = 0;
   if (real) {
     auto& fine = levels[0];
     util::Rng rng(0x36900 + static_cast<unsigned>(me));
@@ -77,7 +80,7 @@ sim::Task<AppResult> run_mg(Comm& comm, MgParams p, Mode mode) {
         }
       }
     }
-    double gsum = local_sum;
+    gsum = local_sum;
     co_await comm.allreduce(View::out(&gsum, 8), 1, Dtype::kDouble,
                             ROp::kSum);
     const double mean = gsum / (static_cast<double>(p.n) * p.n * p.n);

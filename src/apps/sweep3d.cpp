@@ -168,8 +168,10 @@ sim::Task<AppResult> run_sweep3d(Comm& comm, SweepParams p, Mode mode) {
 
   AppResult out;
   out.app_seconds = comm.wtime() - t0;
+  // Scalars handed to MPI live at function scope for the whole run, as
+  // CG's psum buffers do, not in a block scope of the frame.
+  double s = 0;
   if (real) {
-    double s = 0;
     for (const double v : phi) s += v;
     co_await comm.allreduce(View::out(&s, 8), 1, Dtype::kDouble, ROp::kSum);
     out.checksum = s;
