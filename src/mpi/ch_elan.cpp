@@ -141,6 +141,8 @@ void ElanChannel::on_arrival(
   }
   rp.matcher().add_unexpected(
       {env,
+       // simcheck-allow: coro-ref-escape (closure owned by the Unexpected
+       // that Comm::irecv_impl's frame holds across co_await claim)
        [this, env, payload_slot, sync_req](PostedRecv pr) -> sim::Task<void> {
          if (sync_req) sync_req->complete(status_of(env));
          // Receiver claims from the system buffer: copy-out on the host.
@@ -169,6 +171,8 @@ void ElanChannel::on_failed_arrival(const Envelope& env) {
     return;
   }
   rp.matcher().add_unexpected(
+      // simcheck-allow: coro-ref-escape (closure owned by the Unexpected
+      // that Comm::irecv_impl's frame holds across co_await claim)
       {env, [env](PostedRecv pr) -> sim::Task<void> {
          pr.req->complete(error_status(env));
          co_return;

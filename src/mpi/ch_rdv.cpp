@@ -110,6 +110,8 @@ void RdvChannel::on_shm_arrival(
       deliver_buffered(env, payload, std::move(*pr), cost);
     } else {
       rp.matcher().add_unexpected(
+          // simcheck-allow: coro-ref-escape (closure owned by the Unexpected
+          // that Comm::irecv_impl's frame holds across co_await claim)
           {env, [this, env, payload, cost](PostedRecv pr) -> sim::Task<void> {
              auto& rp2 = mpi_->proc(env.dst);
              co_await rp2.cpu().busy(cost);
@@ -146,6 +148,8 @@ void RdvChannel::fail_recv_side(const Envelope& env, int from_node) {
         pr->req->complete(error_status(env));
       } else {
         rp.matcher().add_unexpected(
+            // simcheck-allow: coro-ref-escape (closure owned by the Unexpected
+            // that Comm::irecv_impl's frame holds across co_await claim)
             {env, [env](PostedRecv pr) -> sim::Task<void> {
                pr.req->complete(error_status(env));
                co_return;
@@ -216,6 +220,8 @@ void RdvChannel::on_eager_arrival(
       deliver_buffered(env, payload, std::move(*pr), cost);
     } else {
       rp.matcher().add_unexpected(
+          // simcheck-allow: coro-ref-escape (closure owned by the Unexpected
+          // that Comm::irecv_impl's frame holds across co_await claim)
           {env, [this, env, payload, cost](PostedRecv pr) -> sim::Task<void> {
              auto& rp2 = mpi_->proc(env.dst);
              co_await rp2.cpu().busy(cost);
@@ -301,6 +307,8 @@ void RdvChannel::on_rts(std::shared_ptr<RdvState> st) {
       issue_cts(st);
     } else {
       rp.matcher().add_unexpected(
+          // simcheck-allow: coro-ref-escape (closure owned by the Unexpected
+          // that Comm::irecv_impl's frame holds across co_await claim)
           {st->send.env, [this, st](PostedRecv pr) -> sim::Task<void> {
              st->recv = std::move(pr);
              st->recv_matched = true;

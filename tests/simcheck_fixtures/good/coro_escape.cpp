@@ -1,6 +1,8 @@
 // known-good: every same-frame coroutine-lambda idiom the rule must not
 // flag — awaited in place, passed to the synchronous run() driver, named
-// and only ever co_awaited — and a by-value capture handed to spawn().
+// and only ever co_awaited — for by-reference and by-value captures alike,
+// and a captureless coroutine lambda invoked into spawn(), whose state
+// travels as parameters copied into the frame.
 #include <cstdint>
 
 #include "fixture_prelude.hpp"
@@ -33,12 +35,20 @@ fix::Task named_and_awaited() {
   co_await step();
 }
 
-void value_capture(fix::Engine& eng) {
+fix::Task value_capture_awaited_in_place() {
   std::int64_t budget = 100;
-  eng.spawn([budget]() -> fix::Task {
+  co_await [budget]() -> fix::Task {
     co_await fix::sleep_ps(10);
-    (void)budget;  // safe: captured by value, lives in the frame
-  });
+    (void)budget;  // safe: the closure outlives the awaited frame
+  }();
+}
+
+void parameters_not_captures(fix::Engine& eng) {
+  std::int64_t budget = 100;
+  eng.spawn([](std::int64_t b) -> fix::Task {
+    co_await fix::sleep_ps(10);
+    (void)b;  // safe: a parameter is copied into the coroutine frame
+  }(budget));
 }
 
 }  // namespace fixgood

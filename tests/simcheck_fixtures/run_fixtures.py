@@ -83,11 +83,13 @@ def test_bad_fixtures_fire_every_rule(tmp: Path) -> None:
     assert any("new" in f["message"] or "commit" in (f["chain"] or "")
                for f in hot), f"hot-alloc: transitive new not found: {hot}"
 
-    # Both escapes: the spawn() argument and the lambda stored in a local
-    # container.
+    # Every escape: the by-reference spawn() argument and lambda stored in
+    # a local container, and the by-value lambda passed to spawn() and
+    # invoked into it.
     coro = in_file(findings, "coro-ref-escape", "coro_escape.cpp")
-    assert len(coro) == 2, f"coro-ref-escape: want 2 findings, got {coro}"
+    assert len(coro) == 4, f"coro-ref-escape: want 4 findings, got {coro}"
     assert any("push_back" in f["message"] for f in coro), coro
+    assert sum("[budget]" in f["message"] for f in coro) == 2, coro
 
     shared = in_file(findings, "shared-static", "shared_static.cpp")
     assert len(shared) == 2, f"shared-static: want 2 errors, got {shared}"

@@ -42,11 +42,12 @@ include:
                    allocation boundary (slab refill, amortized heap growth)
                    carry the MNS_HOT annotation: their own body is exempt,
                    their callees are still checked.
-  coro-ref-escape  a coroutine lambda that captures by reference is legal
-                   only where it provably finishes inside the declaring
-                   frame: awaited in place, the first argument of the
-                   synchronous run() driver, or a named local that is only
-                   ever co_awaited. Anything else (spawn() arguments,
+  coro-ref-escape  a coroutine lambda with any capture (by reference or
+                   by value: captures live in the closure, not the frame)
+                   is legal only where it provably finishes before the
+                   closure dies: awaited in place, the first argument of
+                   the synchronous run() driver, or a named local that is
+                   only ever co_awaited. Anything else (spawn() arguments,
                    returns, stored lambdas, call arguments) is flagged.
   shared-static    shared-state audit for SweepRunner (--jobs) threads,
                    which run independent simulations concurrently: every

@@ -44,7 +44,6 @@ class LoopSite:
 class LambdaSite:
     line: int
     captures: str                # raw capture list text ('&', 'this, &x')
-    by_ref: bool = False         # any by-reference capture
     is_coroutine: bool = False   # co_await/co_return/co_yield in OWN body
     # How the lambda leaves the introducer expression:
     #   awaited_in_place | immediate_invoke | run_arg | named_awaited |

@@ -932,9 +932,7 @@ class BodyAnalyzer:
             return None
         body_end = match_forward(self.toks, j, "{", "}")
         cap_text = " ".join(t.text for t in captures)
-        by_ref = any(t.text == "&" for t in captures)
-        lam = LambdaSite(line=self.toks[i].line, captures=cap_text,
-                         by_ref=by_ref)
+        lam = LambdaSite(line=self.toks[i].line, captures=cap_text)
         # Analyze the body: attributes co_* to the lambda, allocations and
         # calls to the enclosing function.
         self.analyze(j + 1, body_end - 1, top=False, lam=lam)

@@ -271,14 +271,18 @@ def rule_hot_alloc(sm: SourceModel,
     return out
 
 
-# -- rule 4: coroutine ref-capture escape -----------------------------------
+# -- rule 4: coroutine capture escape ---------------------------------------
 
-# A by-reference coroutine lambda is legal only where its frame provably
-# finishes before the declaring frame does: awaited in place
+# A coroutine lambda's captures live in the closure object, not in the
+# coroutine frame: the frame only holds a pointer to the closure. So a
+# capturing coroutine lambda, by value or by reference, is legal only where
+# its frame provably finishes before the closure dies: awaited in place
 # (`co_await [&]{...}()`), the first argument of the synchronous run()
 # driver, or a named local whose every use is co_awaited. Every other
-# usage escapes: the lambda object, and the locals it references, die
-# with the declaring scope while the coroutine frame lives on.
+# usage escapes: the closure (and any locals it references) dies with the
+# declaring scope or full-expression while the coroutine frame lives on.
+# State a detached coroutine needs must be passed as parameters, which are
+# copied into the frame.
 SAME_FRAME_USAGES = {"awaited_in_place", "run_arg", "named_awaited"}
 
 
@@ -303,18 +307,18 @@ def rule_coro_ref_escape(sm: SourceModel) -> list[Finding]:
     out = []
     for fn in sm.functions:
         for lam in fn.lambdas:
-            if not (lam.by_ref and lam.is_coroutine) or \
+            if not (lam.captures and lam.is_coroutine) or \
                     lam.usage in SAME_FRAME_USAGES:
                 continue
             if sm.allowed("coro-ref-escape", fn.file, lam.line):
                 continue
             out.append(Finding(
                 rule="coro-ref-escape", file=fn.file, line=lam.line,
-                message=f"{fn.qname}: coroutine lambda captures by "
-                        f"reference [{lam.captures}] and "
-                        f"{_escape_reason(lam.usage)}; the captured "
-                        "references dangle at the first suspension "
-                        "point. Capture by value or pass state as "
+                message=f"{fn.qname}: coroutine lambda captures "
+                        f"[{lam.captures}] and "
+                        f"{_escape_reason(lam.usage)}; captures live in the "
+                        "closure, not the coroutine frame, so they dangle "
+                        "at the first suspension point. Pass state as "
                         "coroutine parameters.",
             ))
     return out
