@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -450,6 +451,173 @@ TEST(Engine, PopOrderPropertyUnderRandomizedSchedules) {
             << " (round " << round << ")";
       }
     }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// The open root: step() leaves the running heap event's root slot open for
+// its handler's first push. None of it may show through the engine's API.
+
+TEST(EngineOpenRoot, HandlerCancelsAnotherEventButNotItself) {
+  Engine eng;
+  EventId self, other;
+  bool self_cancelled = true, other_cancelled = false, other_ran = false;
+  self = eng.at_cancellable(Time::us(1), [&] {
+    self_cancelled = eng.cancel(self);  // running: no longer pending
+    other_cancelled = eng.cancel(other);
+  });
+  other = eng.at_cancellable(Time::us(2), [&] { other_ran = true; });
+  eng.run();
+  EXPECT_FALSE(self_cancelled);
+  EXPECT_TRUE(other_cancelled);
+  EXPECT_FALSE(other_ran);
+  EXPECT_EQ(eng.events_processed(), 1u);
+  EXPECT_EQ(eng.events_cancelled(), 1u);
+  mns::audit::AuditReport report;
+  eng.register_audits(report);
+  EXPECT_NO_THROW(report.require_clean());
+}
+
+TEST(EngineOpenRoot, CancelOfRunningEventSparesThePushThatReusedItsSlot) {
+  // The running event's slot is free while it runs, so its handler's own
+  // push lands there (LIFO free list); cancelling the running event's id
+  // must not revoke that push.
+  Engine eng;
+  EventId self, pushed;
+  bool pushed_ran = false;
+  self = eng.at_cancellable(Time::us(1), [&] {
+    pushed = eng.at_cancellable(Time::us(2), [&] { pushed_ran = true; });
+    EXPECT_EQ(pushed.slot, self.slot);
+    EXPECT_FALSE(eng.cancel(self));
+  });
+  eng.run();
+  EXPECT_TRUE(pushed_ran);
+  EXPECT_EQ(eng.events_cancelled(), 0u);
+}
+
+TEST(EngineOpenRoot, PendingEventsInsideAHandlerCountsNoHole) {
+  Engine eng;
+  std::vector<std::size_t> seen;
+  eng.after(Time::us(1), [&] {
+    seen.push_back(eng.pending_events());  // the 5 us event only
+    eng.after(Time::us(1), [&] { seen.push_back(eng.pending_events()); });
+    seen.push_back(eng.pending_events());  // + the push that filled the root
+    eng.after(Time::us(2), [] {});
+    seen.push_back(eng.pending_events());  // + a push sifted up
+  });
+  eng.after(Time::us(5), [&] { seen.push_back(eng.pending_events()); });
+  eng.run();
+  // At 2 us: the 3 us and 5 us events; at 5 us: none.
+  EXPECT_EQ(seen, (std::vector<std::size_t>{1, 2, 3, 2, 0}));
+}
+
+// A plain EventFn handler that throws escapes run(); the heap must be whole
+// again, so a second run() pops every remaining event in (time, seq)
+// order and the finalize audits stay clean. Two throwers: one that pushes
+// nothing (its root is closed by the guard) and one that throws after its
+// push filled the root.
+TEST(EngineOpenRoot, ThrowingHandlerLeavesTheQueueWhole) {
+  for (const bool push_first : {false, true}) {
+    Engine eng;
+    std::mt19937_64 rng(0xBAD5EED);
+    std::vector<std::pair<std::int64_t, int>> expected, pops;
+    int sched = 0;
+    auto plant = [&](std::int64_t at_ps) {
+      const int my = sched++;
+      expected.emplace_back(at_ps, my);
+      eng.at(Time::ps(at_ps),
+             [&, my] { pops.emplace_back(eng.now().count_ps(), my); });
+    };
+    auto some_ps = [&] { return 1 + static_cast<std::int64_t>(rng() % 20); };
+    for (int i = 0; i < 40; ++i) plant(some_ps());
+    eng.at(Time::ps(10), [&] {
+      if (push_first) plant(15);
+      throw std::runtime_error("handler failed");
+    });
+    ++sched;  // the thrower's own schedule slot
+    for (int i = 0; i < 40; ++i) plant(some_ps());
+    EXPECT_THROW(eng.run(), std::runtime_error);
+    eng.run();
+    std::sort(expected.begin(), expected.end());
+    EXPECT_EQ(pops, expected) << "push_first=" << push_first;
+    mns::audit::AuditReport report;
+    eng.register_audits(report);
+    EXPECT_NO_THROW(report.require_clean());
+  }
+}
+
+TEST(EngineOpenRoot, TimeLimitErrorLeavesTheNextEventQueued) {
+  Engine eng;
+  eng.set_time_limit(Time::us(10));
+  int ran = 0;
+  eng.at(Time::us(5), [&] { ++ran; });
+  eng.at(Time::us(20), [&] { ++ran; });
+  EXPECT_THROW(eng.run(), LivelockError);
+  EXPECT_EQ(ran, 1);
+  EXPECT_EQ(eng.pending_events(), 1u);
+  EXPECT_EQ(eng.next_event_at_ps(), Time::us(20).count_ps());
+  EXPECT_EQ(eng.now(), Time::us(5));
+  eng.set_time_limit(Time::us(30));
+  eng.run();
+  EXPECT_EQ(ran, 2);
+  EXPECT_EQ(eng.now(), Time::us(20));
+}
+
+// Randomized property: handlers schedule plain and cancellable events
+// (some at exactly now()) and cancel random cancellable ones, their own
+// id included. Every cancel must succeed exactly when its event is still
+// pending, and the events that run must pop in (time, seq) order: the
+// sorted reference of everything scheduled minus what was cancelled.
+TEST(EngineOpenRoot, PopOrderWithCancelsMatchesSortedReference) {
+  std::mt19937_64 rng(0x0DDBA11);
+  for (int round = 0; round < 10; ++round) {
+    Engine eng;
+    struct Ev {
+      std::int64_t at_ps;
+      EventId id;  // valid for cancellable events
+      bool ran = false, cancelled = false;
+    };
+    std::vector<Ev> evs;
+    std::vector<std::pair<std::int64_t, std::size_t>> pops;
+    std::function<void(int)> plant = [&](int depth) {
+      const std::size_t my = evs.size();  // == the engine's seq order
+      const std::int64_t delay_ps =
+          rng() % 4 == 0 ? 0 : static_cast<std::int64_t>(rng() % 20'000);
+      evs.push_back(Ev{eng.now().count_ps() + delay_ps, {}});
+      auto body = [&, my, depth] {
+        evs[my].ran = true;
+        pops.emplace_back(eng.now().count_ps(), my);
+        const int kids = depth < 4 ? static_cast<int>(rng() % 3) : 0;
+        for (int k = 0; k < kids; ++k) plant(depth + 1);
+        if (rng() % 2 == 0) {
+          Ev& victim = evs[rng() % evs.size()];
+          if (victim.id.valid()) {
+            const bool pending = !victim.ran && !victim.cancelled;
+            ASSERT_EQ(eng.cancel(victim.id), pending);
+            victim.cancelled = victim.cancelled || pending;
+          }
+        }
+      };
+      if (rng() % 2 == 0) {
+        evs[my].id = eng.at_cancellable(Time::ps(evs[my].at_ps), body);
+      } else {
+        eng.at(Time::ps(evs[my].at_ps), body);
+      }
+    };
+    for (int i = 0; i < 200; ++i) plant(0);
+    eng.run();
+
+    std::vector<std::pair<std::int64_t, std::size_t>> expected;
+    for (std::size_t i = 0; i < evs.size(); ++i) {
+      ASSERT_NE(evs[i].ran, evs[i].cancelled) << "event " << i;
+      if (!evs[i].cancelled) expected.emplace_back(evs[i].at_ps, i);
+    }
+    std::sort(expected.begin(), expected.end());
+    ASSERT_EQ(pops, expected) << "round " << round;
+    EXPECT_EQ(eng.pending_events(), 0u);
+    mns::audit::AuditReport report;
+    eng.register_audits(report);
+    EXPECT_NO_THROW(report.require_clean());
   }
 }
 
