@@ -78,7 +78,7 @@ Cluster::Cluster(const ClusterConfig& cfg) : cfg_(cfg) {
       mpi::RdvChannelConfig cc = mpi::default_ch_ib_config();
       if (cfg_.tweak_channel) cfg_.tweak_channel(cc);
       ib_ = std::make_unique<ib::IbFabric>(engine_, node_ptrs, ib_cfg);
-      mpi_->set_device(mpi::make_ch_ib(*mpi_, *ib_, cc));
+      mpi_->set_device(mpi::make_ch_rdv(*mpi_, *ib_, cc));
       break;
     }
     case Net::kMyrinet: {
@@ -87,7 +87,7 @@ Cluster::Cluster(const ClusterConfig& cfg) : cfg_(cfg) {
       mpi::RdvChannelConfig cc = mpi::default_ch_gm_config();
       if (cfg_.tweak_channel) cfg_.tweak_channel(cc);
       gm_ = std::make_unique<gm::GmFabric>(engine_, node_ptrs, gm_cfg);
-      mpi_->set_device(mpi::make_ch_gm(*mpi_, *gm_, cc));
+      mpi_->set_device(mpi::make_ch_rdv(*mpi_, *gm_, cc));
       break;
     }
     case Net::kQuadrics: {

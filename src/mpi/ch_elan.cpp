@@ -1,17 +1,6 @@
 #include "mpi/ch_elan.hpp"
 
-#include <cstring>
-
 namespace mns::mpi {
-
-namespace {
-Status status_of(const Envelope& env) {
-  return Status{env.src, env.tag, env.bytes};
-}
-Status error_status(const Envelope& env) {
-  return Status{env.src, env.tag, env.bytes, kErrFabric};
-}
-}  // namespace
 
 ElanChannelConfig default_elan_channel_config() {
   return ElanChannelConfig{
@@ -48,10 +37,8 @@ sim::Task<void> ElanChannel::start_send(SendOp op) {
   // Buffered (small) sends may complete before delivery, so the payload
   // must be captured up front; large sends are zero-copy and the payload
   // is read inside remote_arrival (before the sender resumes).
-  auto payload_slot = std::make_shared<std::vector<std::byte>>();
-  if (buffered && !src_view.synthetic() && env.bytes > 0) {
-    payload_slot->assign(src_view.data(), src_view.data() + env.bytes);
-  }
+  auto payload_slot = std::make_shared<Payload>();
+  if (buffered) capture_payload(src_view, *payload_slot);
 
   // MPI_Ssend semantics: completion is tied to the receiver's match, not
   // to delivery into the Elan system buffer.
@@ -78,16 +65,20 @@ sim::Task<void> ElanChannel::start_send(SendOp op) {
     // error envelope), exactly where the data would have matched.
     if (!req->done) req->complete(error_status(env));
     // The error envelope reaches the receiver as an error notification
-    // (see NetFabric::run_on_node).
-    fabric_->run_on_node(mpi_->node_of(env.src), mpi_->node_of(env.dst),
-                         [this, env] { on_failed_arrival(env); });
+    // (see NetFabric::run_on_node) and is matched in NIC context, like
+    // on_arrival.
+    fabric_->run_on_node(
+        mpi_->node_of(env.src), mpi_->node_of(env.dst), [this, env] {
+          deliver_error_envelope(mpi_->proc(env.dst).matcher(), env);
+        });
   };
   fabric_->post(std::move(m));
 }
 
-void ElanChannel::on_arrival(
-    Envelope env, std::shared_ptr<std::vector<std::byte>> payload_slot,
-    View src_view, std::shared_ptr<RequestState> sync_req) {
+void ElanChannel::on_arrival(Envelope env,
+                             std::shared_ptr<Payload> payload_slot,
+                             View src_view,
+                             std::shared_ptr<RequestState> sync_req) {
   // NIC-side matching: runs NOW, regardless of what the host is doing.
   auto& rp = mpi_->proc(env.dst);
   const int dnode = mpi_->node_of(env.dst);
@@ -95,28 +86,20 @@ void ElanChannel::on_arrival(
   // The Elan walks its posted-receive list in NIC memory: each extra
   // entry costs NIC time (heavy when many receives are outstanding, e.g.
   // during an alltoall).
-  const std::size_t posted = rp.matcher().posted_count();
   const sim::Time scan =
-      posted > 1
-          ? cfg_.nic_match_per_entry * static_cast<std::int64_t>(posted - 1)
-          : sim::Time::zero();
+      match_scan_cost(rp.matcher(), cfg_.nic_match_per_entry);
 
   if (auto pr = rp.matcher().match_arrival(env)) {
     // Matched a posted receive: the NIC DMAs straight into the user
     // buffer; the destination pages may stall the NIC MMU.
     const sim::Time stall =
         scan + fabric_->mmu(dnode).access(pr->buf.addr(), env.bytes);
-    auto shared_pr = std::make_shared<PostedRecv>(std::move(*pr));
     // Payload: buffered small sends carry a captured copy; zero-copy large
     // sends read the source view, still intact at this instant.
-    if (!shared_pr->buf.synthetic()) {
-      const auto n = static_cast<std::size_t>(
-          std::min<std::uint64_t>(env.bytes, shared_pr->buf.bytes()));
-      if (!payload_slot->empty()) {
-        std::memcpy(shared_pr->buf.data(), payload_slot->data(), n);
-      } else {
-        copy_payload(src_view, shared_pr->buf, n);
-      }
+    if (!payload_slot->empty()) {
+      copy_buffered(*payload_slot, pr->buf, env.bytes);
+    } else {
+      copy_payload(src_view, pr->buf, std::min(env.bytes, pr->buf.bytes()));
     }
     if (sync_req) sync_req->complete(status_of(env));  // matched: ssend done
     rp.cpu().accrue_overhead(cfg_.o_complete);
@@ -124,21 +107,19 @@ void ElanChannel::on_arrival(
     // other arrivals (this is what makes a many-receiver burst like
     // alltoall expensive on Quadrics, Fig. 11).
     mpi_->engine().spawn(
-        [](ElanChannel& self, int dnode, sim::Time stall,
-           std::shared_ptr<PostedRecv> pr, Envelope env) -> sim::Task<void> {
+        [](ElanChannel& self, int dnode, sim::Time stall, PostedRecv pr,
+           Envelope env) -> sim::Task<void> {
           co_await self.fabric_->occupy_nic(dnode, stall);
           co_await self.mpi_->engine().delay(self.cfg_.o_complete);
-          pr->req->complete(status_of(env));
-        }(*this, dnode, stall, shared_pr, env),
+          pr.req->complete(status_of(env));
+        }(*this, dnode, stall, std::move(*pr), env),
         /*daemon=*/true);
     return;
   }
 
   // Unexpected: lands in the Elan system buffer. Capture the payload now
   // (zero-copy source is still valid at this instant).
-  if (payload_slot->empty() && !src_view.synthetic() && env.bytes > 0) {
-    payload_slot->assign(src_view.data(), src_view.data() + env.bytes);
-  }
+  if (payload_slot->empty()) capture_payload(src_view, *payload_slot);
   rp.matcher().add_unexpected(
       {env,
        // simcheck-allow: coro-ref-escape (closure owned by the Unexpected
@@ -146,36 +127,11 @@ void ElanChannel::on_arrival(
        [this, env, payload_slot, sync_req](PostedRecv pr) -> sim::Task<void> {
          if (sync_req) sync_req->complete(status_of(env));
          // Receiver claims from the system buffer: copy-out on the host.
-         auto& rp2 = mpi_->proc(env.dst);
-         const int dn = mpi_->node_of(env.dst);
-         const sim::Time cost =
+         co_await mpi_->proc(env.dst).cpu().busy(
              cfg_.o_unexpected +
-             fabric_->node(dn).mem().copy_time(env.bytes);
-         co_await rp2.cpu().busy(cost);
-         if (!pr.buf.synthetic() && !payload_slot->empty()) {
-           std::memcpy(pr.buf.data(), payload_slot->data(),
-                       static_cast<std::size_t>(std::min<std::uint64_t>(
-                           env.bytes, pr.buf.bytes())));
-         }
+             fabric_->node(mpi_->node_of(env.dst)).mem().copy_time(env.bytes));
+         copy_buffered(*payload_slot, pr.buf, env.bytes);
          pr.req->complete(status_of(env));
-       }});
-}
-
-void ElanChannel::on_failed_arrival(const Envelope& env) {
-  // NIC context (like on_arrival): the error envelope goes through the
-  // same Tport matching the data would have, so the receive completes
-  // with Status::error instead of hanging.
-  auto& rp = mpi_->proc(env.dst);
-  if (auto pr = rp.matcher().match_arrival(env)) {
-    pr->req->complete(error_status(env));
-    return;
-  }
-  rp.matcher().add_unexpected(
-      // simcheck-allow: coro-ref-escape (closure owned by the Unexpected
-      // that Comm::irecv_impl's frame holds across co_await claim)
-      {env, [env](PostedRecv pr) -> sim::Task<void> {
-         pr.req->complete(error_status(env));
-         co_return;
        }});
 }
 

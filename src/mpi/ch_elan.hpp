@@ -51,12 +51,9 @@ class ElanChannel final : public Device {
 
  private:
   void on_arrival(Envelope env,
-                  std::shared_ptr<std::vector<std::byte>> payload_slot,
+                  std::shared_ptr<Payload> payload_slot,
                   View src_view,
                   std::shared_ptr<RequestState> sync_req);
-  /// Fabric retry exhaustion: surface the error envelope through NIC
-  /// matching so the receive side completes with Status::error.
-  void on_failed_arrival(const Envelope& env);
 
   Mpi* mpi_;
   elan::ElanFabric* fabric_;

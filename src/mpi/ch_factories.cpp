@@ -44,7 +44,6 @@ RdvChannelConfig default_ch_ib_config() {
       .o_ctrl = sim::Time::ns(400),
       .o_match_entry = sim::Time::ns(900),
       .ctrl_bytes = 64,
-      .use_regcache = true,
       .shm = ib_shm_config(),
   };
 }
@@ -60,29 +59,8 @@ RdvChannelConfig default_ch_gm_config() {
       .o_match_entry = sim::Time::ns(250),
       .allreduce_recursive_doubling = true,  // MPICH 1.2.5 base
       .ctrl_bytes = 64,
-      .use_regcache = true,
       .shm = gm_shm_config(),
   };
-}
-
-std::unique_ptr<Device> make_ch_ib(Mpi& mpi, ib::IbFabric& fabric,
-                                   const RdvChannelConfig& cfg) {
-  return std::make_unique<RdvChannel>(
-      mpi, fabric, cfg,
-      [&fabric](int node) -> model::RegistrationCache& {
-        return fabric.regcache(node);
-      },
-      [&fabric](int node) { return fabric.memory_bytes(node); });
-}
-
-std::unique_ptr<Device> make_ch_gm(Mpi& mpi, gm::GmFabric& fabric,
-                                   const RdvChannelConfig& cfg) {
-  return std::make_unique<RdvChannel>(
-      mpi, fabric, cfg,
-      [&fabric](int node) -> model::RegistrationCache& {
-        return fabric.regcache(node);
-      },
-      [&fabric](int node) { return fabric.memory_bytes(node); });
 }
 
 std::unique_ptr<Device> make_ch_elan(Mpi& mpi, elan::ElanFabric& fabric,

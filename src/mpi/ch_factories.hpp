@@ -6,8 +6,6 @@
 #include <memory>
 
 #include "elan/elan_fabric.hpp"
-#include "gm/gm_fabric.hpp"
-#include "ib/ib_fabric.hpp"
 #include "mpi/ch_elan.hpp"
 #include "mpi/ch_rdv.hpp"
 
@@ -22,10 +20,19 @@ RdvChannelConfig default_ch_ib_config();
 /// above; shared memory for all intra-node sizes.
 RdvChannelConfig default_ch_gm_config();
 
-std::unique_ptr<Device> make_ch_ib(Mpi& mpi, ib::IbFabric& fabric,
-                                   const RdvChannelConfig& cfg);
-std::unique_ptr<Device> make_ch_gm(Mpi& mpi, gm::GmFabric& fabric,
-                                   const RdvChannelConfig& cfg);
+/// The eager/rendezvous device over either fabric with per-node pin-down
+/// caches (ib::IbFabric for ch_ib, gm::GmFabric for ch_gm).
+template <class Fabric>
+std::unique_ptr<Device> make_ch_rdv(Mpi& mpi, Fabric& fabric,
+                                    const RdvChannelConfig& cfg) {
+  return std::make_unique<RdvChannel>(
+      mpi, fabric, cfg,
+      [&fabric](int node) -> model::RegistrationCache& {
+        return fabric.regcache(node);
+      },
+      [&fabric](int node) { return fabric.memory_bytes(node); });
+}
+
 std::unique_ptr<Device> make_ch_elan(Mpi& mpi, elan::ElanFabric& fabric,
                                      const ElanChannelConfig& cfg);
 

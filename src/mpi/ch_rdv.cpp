@@ -1,34 +1,13 @@
 #include "mpi/ch_rdv.hpp"
 
-#include <cstring>
-
 namespace mns::mpi {
 
-namespace {
-Status status_of(const Envelope& env) {
-  return Status{env.src, env.tag, env.bytes};
-}
-Status error_status(const Envelope& env) {
-  return Status{env.src, env.tag, env.bytes, kErrFabric};
-}
-}  // namespace
-
-std::function<void(std::function<void()>)> RdvChannel::host_gate(
-    Proc& proc) const {
+void RdvChannel::host_gated(Proc& proc, std::function<void()> fn) const {
   if (cfg_.nic_progress) {
-    return [](std::function<void()> fn) { fn(); };
-  }
-  return [&proc](std::function<void()> fn) {
+    fn();
+  } else {
     proc.host_action(std::move(fn));
-  };
-}
-
-sim::Time RdvChannel::match_scan_cost(Proc& rp) const {
-  // MPICH walks the posted queue linearly; entries beyond the first cost.
-  const std::size_t posted = rp.matcher().posted_count();
-  return posted > 1
-             ? cfg_.o_match_entry * static_cast<std::int64_t>(posted - 1)
-             : sim::Time::zero();
+  }
 }
 
 RdvChannel::RdvChannel(Mpi& mpi, model::NetFabric& fabric,
@@ -58,15 +37,6 @@ void RdvChannel::hw_broadcast(Rank root, std::uint64_t bytes,
                                  cfg_.hw_bcast_overhead, std::move(done));
 }
 
-std::shared_ptr<std::vector<std::byte>> RdvChannel::capture(
-    const View& v) const {
-  auto out = std::make_shared<std::vector<std::byte>>();
-  if (!v.synthetic() && v.bytes() > 0) {
-    out->assign(v.data(), v.data() + v.bytes());
-  }
-  return out;
-}
-
 sim::Task<void> RdvChannel::start_send(SendOp op) {
   auto& sp = mpi_->proc(op.env.src);
   co_await sp.cpu().busy(cfg_.o_send);
@@ -86,8 +56,10 @@ sim::Task<void> RdvChannel::start_send(SendOp op) {
 // --- shared memory path ---------------------------------------------------
 
 sim::Task<void> RdvChannel::send_shm(SendOp op) {
-  const int node = mpi_->node_of(op.env.src);
-  auto payload = capture(op.buf);
+  // Sender and receiver share the node, so one domain serves both ends.
+  auto& dom = *shm_[static_cast<std::size_t>(mpi_->node_of(op.env.src))];
+  auto payload = std::make_shared<Payload>();
+  capture_payload(op.buf, *payload);
   const Envelope env = op.env;
   auto req = op.req;
 
@@ -95,36 +67,11 @@ sim::Task<void> RdvChannel::send_shm(SendOp op) {
   m.src_rank = env.src;
   m.dst_rank = env.dst;
   m.bytes = env.bytes;
-  m.remote_arrival = [this, env, payload] { on_shm_arrival(env, payload); };
-  co_await shm_[static_cast<std::size_t>(node)]->send_copy(std::move(m));
+  m.remote_arrival = [this, env, payload, &dom] {
+    on_buffered_arrival(env, payload, dom.recv_cost(env.bytes));
+  };
+  co_await dom.send_copy(std::move(m));
   req->complete(status_of(env));  // buffered: sender is done after copy-in
-}
-
-void RdvChannel::on_shm_arrival(
-    Envelope env, std::shared_ptr<std::vector<std::byte>> payload) {
-  auto& rp = mpi_->proc(env.dst);
-  auto& dom = *shm_[static_cast<std::size_t>(mpi_->node_of(env.dst))];
-  const sim::Time cost = dom.recv_cost(env.bytes) + match_scan_cost(rp);
-  host_gate(rp)([this, env, payload, cost, &rp] {
-    if (auto pr = rp.matcher().match_arrival(env)) {
-      deliver_buffered(env, payload, std::move(*pr), cost);
-    } else {
-      rp.matcher().add_unexpected(
-          // simcheck-allow: coro-ref-escape (closure owned by the Unexpected
-          // that Comm::irecv_impl's frame holds across co_await claim)
-          {env, [this, env, payload, cost](PostedRecv pr) -> sim::Task<void> {
-             auto& rp2 = mpi_->proc(env.dst);
-             co_await rp2.cpu().busy(cost);
-             if (!pr.buf.synthetic() && !payload->empty()) {
-               std::memcpy(pr.buf.data(), payload->data(),
-                           static_cast<std::size_t>(
-                               std::min<std::uint64_t>(env.bytes,
-                                                       pr.buf.bytes())));
-             }
-             pr.req->complete(status_of(env));
-           }});
-    }
-  });
 }
 
 // --- fabric-error degradation ----------------------------------------------
@@ -133,28 +80,16 @@ void RdvChannel::on_shm_arrival(
 // on_failed hook fires instead of the remaining completion callbacks. The
 // device's job is to make sure no request hangs: the sender side completes
 // with an error Status, and the receiver side learns about the failure
-// through its matcher — the "error envelope" matches exactly like the data
-// would have, so a posted (or future) receive completes with
-// Status::error == kErrFabric instead of waiting forever.
+// through its matcher (deliver_error_envelope).
 
 void RdvChannel::fail_recv_side(const Envelope& env, int from_node) {
   // The teardown is an error notification from the failed message's
   // source node (see NetFabric::run_on_node).
   fabric_->run_on_node(from_node, mpi_->node_of(env.dst), [this, env] {
     auto& rp = mpi_->proc(env.dst);
-    host_gate(rp)([this, env, &rp] {
+    host_gated(rp, [this, env, &rp] {
       rp.cpu().accrue_overhead(cfg_.o_recv);
-      if (auto pr = rp.matcher().match_arrival(env)) {
-        pr->req->complete(error_status(env));
-      } else {
-        rp.matcher().add_unexpected(
-            // simcheck-allow: coro-ref-escape (closure owned by the Unexpected
-            // that Comm::irecv_impl's frame holds across co_await claim)
-            {env, [env](PostedRecv pr) -> sim::Task<void> {
-               pr.req->complete(error_status(env));
-               co_return;
-             }});
-      }
+      deliver_error_envelope(rp.matcher(), env);
     });
   });
 }
@@ -187,7 +122,8 @@ sim::Task<void> RdvChannel::send_eager(SendOp op) {
   // Copy into pre-registered staging: sender CPU pays the memcpy.
   co_await sp.cpu().busy(
       fabric_->node(snode).mem().copy_time(op.env.bytes));
-  auto payload = capture(op.buf);
+  auto payload = std::make_shared<Payload>();
+  capture_payload(op.buf, *payload);
   const Envelope env = op.env;
   auto req = op.req;
 
@@ -197,7 +133,11 @@ sim::Task<void> RdvChannel::send_eager(SendOp op) {
   m.bytes = cfg_.ctrl_bytes + env.bytes;
   m.complete_on_delivery = false;
   m.local_complete = [req, env] { req->complete(status_of(env)); };
-  m.remote_arrival = [this, env, payload] { on_eager_arrival(env, payload); };
+  m.remote_arrival = [this, env, payload, dnode] {
+    on_buffered_arrival(
+        env, payload,
+        cfg_.o_recv + fabric_->node(dnode).mem().copy_time(env.bytes));
+  };
   m.on_failed = [this, req, env] {
     // Eager sends complete when the data leaves the NIC, so the send
     // request is normally already done here; only the receiver still
@@ -208,56 +148,37 @@ sim::Task<void> RdvChannel::send_eager(SendOp op) {
   fabric_->post(std::move(m));
 }
 
-void RdvChannel::on_eager_arrival(
-    Envelope env, std::shared_ptr<std::vector<std::byte>> payload) {
+void RdvChannel::on_buffered_arrival(Envelope env,
+                                     std::shared_ptr<Payload> payload,
+                                     sim::Time base_cost) {
   auto& rp = mpi_->proc(env.dst);
-  const int dnode = mpi_->node_of(env.dst);
-  const sim::Time cost = cfg_.o_recv +
-                         fabric_->node(dnode).mem().copy_time(env.bytes) +
-                         match_scan_cost(rp);
-  host_gate(rp)([this, env, payload, cost, &rp] {
+  const sim::Time cost =
+      base_cost + match_scan_cost(rp.matcher(), cfg_.o_match_entry);
+  host_gated(rp, [this, env, payload, cost, &rp] {
     if (auto pr = rp.matcher().match_arrival(env)) {
-      deliver_buffered(env, payload, std::move(*pr), cost);
+      rp.cpu().accrue_overhead(cost);
+      // Completion processing runs on the receiving host CPU: concurrent
+      // arrivals serialize through the rank's host-work queue.
+      mpi_->engine().spawn(
+          [](Proc& rp, sim::Time cost, Envelope env,
+             std::shared_ptr<Payload> payload,
+             PostedRecv pr) -> sim::Task<void> {
+            co_await rp.host_work().occupy(cost);
+            copy_buffered(*payload, pr.buf, env.bytes);
+            pr.req->complete(status_of(env));
+          }(rp, cost, env, payload, std::move(*pr)),
+          /*daemon=*/true);
     } else {
       rp.matcher().add_unexpected(
           // simcheck-allow: coro-ref-escape (closure owned by the Unexpected
           // that Comm::irecv_impl's frame holds across co_await claim)
           {env, [this, env, payload, cost](PostedRecv pr) -> sim::Task<void> {
-             auto& rp2 = mpi_->proc(env.dst);
-             co_await rp2.cpu().busy(cost);
-             if (!pr.buf.synthetic() && !payload->empty()) {
-               std::memcpy(pr.buf.data(), payload->data(),
-                           static_cast<std::size_t>(
-                               std::min<std::uint64_t>(env.bytes,
-                                                       pr.buf.bytes())));
-             }
+             co_await mpi_->proc(env.dst).cpu().busy(cost);
+             copy_buffered(*payload, pr.buf, env.bytes);
              pr.req->complete(status_of(env));
            }});
     }
   });
-}
-
-void RdvChannel::deliver_buffered(
-    const Envelope& env, std::shared_ptr<std::vector<std::byte>> payload,
-    PostedRecv pr, sim::Time cost) {
-  auto& rp = mpi_->proc(env.dst);
-  rp.cpu().accrue_overhead(cost);
-  auto shared_pr = std::make_shared<PostedRecv>(std::move(pr));
-  // Completion processing runs on the receiving host CPU: concurrent
-  // arrivals serialize through the rank's host-work queue.
-  mpi_->engine().spawn(
-      [](Proc& rp, sim::Time cost, Envelope env,
-         std::shared_ptr<std::vector<std::byte>> payload,
-         std::shared_ptr<PostedRecv> pr) -> sim::Task<void> {
-        co_await rp.host_work().occupy(cost);
-        if (!pr->buf.synthetic() && !payload->empty()) {
-          std::memcpy(pr->buf.data(), payload->data(),
-                      static_cast<std::size_t>(std::min<std::uint64_t>(
-                          env.bytes, pr->buf.bytes())));
-        }
-        pr->req->complete(status_of(env));
-      }(rp, cost, env, payload, shared_pr),
-      /*daemon=*/true);
 }
 
 // --- rendezvous path --------------------------------------------------------
@@ -265,24 +186,21 @@ void RdvChannel::deliver_buffered(
 sim::Task<void> RdvChannel::send_rendezvous(SendOp op) {
   auto& sp = mpi_->proc(op.env.src);
   const int snode = mpi_->node_of(op.env.src);
-  if (cfg_.use_regcache) {
-    const auto reg = regcache_(snode).try_acquire(op.buf.addr(),
-                                                  op.env.bytes);
-    if (reg.cost > sim::Time::zero()) co_await sp.cpu().busy(reg.cost);
-    if (!reg.ok) {
-      if (!op.synchronous) {
-        // Pin-down failed: degrade to the copy-in eager path, which only
-        // needs the pre-registered staging buffers. Slower (extra copy),
-        // but the send makes progress.
-        co_await send_eager(std::move(op));
-        co_return;
-      }
-      // MPI_Ssend must keep the rendezvous handshake — model the driver
-      // retrying the (transient) registration failure.
-      const sim::Time retry =
-          regcache_(snode).acquire(op.buf.addr(), op.env.bytes);
-      if (retry > sim::Time::zero()) co_await sp.cpu().busy(retry);
+  const auto reg = regcache_(snode).try_acquire(op.buf.addr(), op.env.bytes);
+  if (reg.cost > sim::Time::zero()) co_await sp.cpu().busy(reg.cost);
+  if (!reg.ok) {
+    if (!op.synchronous) {
+      // Pin-down failed: degrade to the copy-in eager path, which only
+      // needs the pre-registered staging buffers. Slower (extra copy),
+      // but the send makes progress.
+      co_await send_eager(std::move(op));
+      co_return;
     }
+    // MPI_Ssend must keep the rendezvous handshake — model the driver
+    // retrying the (transient) registration failure.
+    const sim::Time retry =
+        regcache_(snode).acquire(op.buf.addr(), op.env.bytes);
+    if (retry > sim::Time::zero()) co_await sp.cpu().busy(retry);
   }
 
   auto st = std::make_shared<RdvState>();
@@ -299,12 +217,21 @@ sim::Task<void> RdvChannel::send_rendezvous(SendOp op) {
 
 void RdvChannel::on_rts(std::shared_ptr<RdvState> st) {
   auto& rp = mpi_->proc(st->send.env.dst);
-  host_gate(rp)([this, st, &rp] {
-    rp.cpu().accrue_overhead(match_scan_cost(rp));
+  host_gated(rp, [this, st, &rp] {
+    rp.cpu().accrue_overhead(
+        match_scan_cost(rp.matcher(), cfg_.o_match_entry));
     if (auto pr = rp.matcher().match_arrival(st->send.env)) {
       st->recv = std::move(*pr);
       st->recv_matched = true;
-      issue_cts(st);
+      const sim::Time cost = cts_cost(*st);
+      rp.cpu().accrue_overhead(cost);
+      mpi_->engine().spawn(
+          [](RdvChannel& self, Proc& rp, sim::Time cost,
+             std::shared_ptr<RdvState> st) -> sim::Task<void> {
+            co_await rp.host_work().occupy(cost);
+            self.post_cts(std::move(st));
+          }(*this, rp, cost, st),
+          /*daemon=*/true);
     } else {
       rp.matcher().add_unexpected(
           // simcheck-allow: coro-ref-escape (closure owned by the Unexpected
@@ -312,73 +239,37 @@ void RdvChannel::on_rts(std::shared_ptr<RdvState> st) {
           {st->send.env, [this, st](PostedRecv pr) -> sim::Task<void> {
              st->recv = std::move(pr);
              st->recv_matched = true;
-             auto& rp2 = mpi_->proc(st->send.env.dst);
-             const int dnode = mpi_->node_of(st->send.env.dst);
-             sim::Time cost = cfg_.o_ctrl;
-             if (cfg_.use_regcache) {
-               const auto reg = regcache_(dnode).try_acquire(
-                   st->recv.buf.addr(), st->send.env.bytes);
-               cost += reg.cost;
-               // The receive buffer must be pinned before the CTS can
-               // advertise it; retry a transient failure.
-               if (!reg.ok) {
-                 cost += regcache_(dnode).acquire(st->recv.buf.addr(),
-                                                  st->send.env.bytes);
-               }
-             }
-             co_await rp2.cpu().busy(cost);
-             // CTS back to the sender.
-             model::NetMsg cts;
-             cts.src = dnode;
-             cts.dst = mpi_->node_of(st->send.env.src);
-             cts.bytes = cfg_.ctrl_bytes;
-             cts.remote_arrival = [this, st] { on_cts(st); };
-             cts.on_failed = [this, st, dnode] {
-               fail_rendezvous(st, dnode);
-             };
-             fabric_->post(std::move(cts));
+             co_await mpi_->proc(st->send.env.dst).cpu().busy(cts_cost(*st));
+             post_cts(st);
            }});
     }
   });
 }
 
-void RdvChannel::issue_cts(std::shared_ptr<RdvState> st) {
-  auto& rp = mpi_->proc(st->send.env.dst);
+sim::Time RdvChannel::cts_cost(const RdvState& st) const {
+  // The receive buffer must be pinned before the CTS can advertise it;
+  // a transient registration failure is retried.
+  auto& cache = regcache_(mpi_->node_of(st.send.env.dst));
+  const auto reg = cache.try_acquire(st.recv.buf.addr(), st.send.env.bytes);
+  sim::Time cost = cfg_.o_ctrl + reg.cost;
+  if (!reg.ok) cost += cache.acquire(st.recv.buf.addr(), st.send.env.bytes);
+  return cost;
+}
+
+void RdvChannel::post_cts(std::shared_ptr<RdvState> st) {
   const int dnode = mpi_->node_of(st->send.env.dst);
-  sim::Time cost = cfg_.o_ctrl;
-  if (cfg_.use_regcache) {
-    const auto reg =
-        regcache_(dnode).try_acquire(st->recv.buf.addr(),
-                                     st->send.env.bytes);
-    cost += reg.cost;
-    // See on_rts: a failed receive-buffer pin is retried before the CTS.
-    if (!reg.ok) {
-      cost += regcache_(dnode).acquire(st->recv.buf.addr(),
-                                       st->send.env.bytes);
-    }
-  }
-  rp.cpu().accrue_overhead(cost);
-  mpi_->engine()
-      .spawn(
-          [](RdvChannel& self, Proc& rp, sim::Time cost,
-             std::shared_ptr<RdvState> st, int dnode) -> sim::Task<void> {
-            co_await rp.host_work().occupy(cost);
-            model::NetMsg cts;
-            cts.src = dnode;
-            cts.dst = self.mpi_->node_of(st->send.env.src);
-            cts.bytes = self.cfg_.ctrl_bytes;
-            cts.remote_arrival = [&self, st] { self.on_cts(st); };
-            cts.on_failed = [&self, st, dnode] {
-              self.fail_rendezvous(st, dnode);
-            };
-            self.fabric_->post(std::move(cts));
-          }(*this, rp, cost, st, dnode),
-          /*daemon=*/true);
+  model::NetMsg cts;
+  cts.src = dnode;
+  cts.dst = mpi_->node_of(st->send.env.src);
+  cts.bytes = cfg_.ctrl_bytes;
+  cts.remote_arrival = [this, st] { on_cts(st); };
+  cts.on_failed = [this, st, dnode] { fail_rendezvous(st, dnode); };
+  fabric_->post(std::move(cts));
 }
 
 void RdvChannel::on_cts(std::shared_ptr<RdvState> st) {
   auto& sp = mpi_->proc(st->send.env.src);
-  host_gate(sp)([this, st, &sp] {
+  host_gated(sp, [this, st, &sp] {
     sp.cpu().accrue_overhead(cfg_.o_ctrl);
     // CTS processing occupies the sender host before the data goes out;
     // with many rendezvous sends in flight these serialize — part of why

@@ -49,7 +49,6 @@ struct RdvChannelConfig {
   /// handlers, i.e. never defer them while the host computes.
   bool nic_progress = false;
   std::uint64_t ctrl_bytes;       // RTS/CTS/header wire size
-  bool use_regcache;              // registration required (IB and GM: yes)
   /// Extension (the paper's Section 3.7 direction, after Kini et al.):
   /// barrier/broadcast over InfiniBand hardware multicast instead of
   /// point-to-point trees. Needs a reliability envelope on top of the
@@ -89,11 +88,17 @@ class RdvChannel final : public Device {
   sim::Task<void> send_rendezvous(SendOp op);
 
   // Receiver-side handlers (event context, host-gated).
-  void on_eager_arrival(Envelope env,
-                        std::shared_ptr<std::vector<std::byte>> payload);
-  void on_shm_arrival(Envelope env,
-                      std::shared_ptr<std::vector<std::byte>> payload);
+  /// An eager or shm message arrived with its payload buffered: match it
+  /// and copy the payload out, or queue it unexpected. `base_cost` is the
+  /// path's receive cost (copy-out, plus o_recv on the fabric).
+  void on_buffered_arrival(Envelope env, std::shared_ptr<Payload> payload,
+                           sim::Time base_cost);
   void on_rts(std::shared_ptr<RdvState> st);
+  /// Host cost of answering a matched RTS: o_ctrl plus pinning the
+  /// receive buffer (regcache side effects happen here).
+  sim::Time cts_cost(const RdvState& st) const;
+  /// Post the CTS back to the sender.
+  void post_cts(std::shared_ptr<RdvState> st);
   void on_cts(std::shared_ptr<RdvState> st);
   void post_rendezvous_data(std::shared_ptr<RdvState> st);
 
@@ -106,18 +111,8 @@ class RdvChannel final : public Device {
   /// budget: complete both sides with an error Status.
   void fail_rendezvous(std::shared_ptr<RdvState> st, int from_node);
 
-  /// Receiver matched (event context): deliver buffered payload after the
-  /// receive-side cost and complete the request.
-  void deliver_buffered(const Envelope& env,
-                        std::shared_ptr<std::vector<std::byte>> payload,
-                        PostedRecv pr, sim::Time extra_cost);
-  /// Send the CTS for a matched rendezvous (event context at receiver).
-  void issue_cts(std::shared_ptr<RdvState> st);
-
-  std::shared_ptr<std::vector<std::byte>> capture(const View& v) const;
-  sim::Time match_scan_cost(Proc& rp) const;
-  /// Runs protocol actions directly (nic_progress) or host-gated.
-  std::function<void(std::function<void()>)> host_gate(Proc& proc) const;
+  /// Runs a protocol action now (nic_progress) or host-gated.
+  void host_gated(Proc& proc, std::function<void()> fn) const;
 
   Mpi* mpi_;
   model::NetFabric* fabric_;

@@ -60,7 +60,7 @@ sim::Task<void> Comm::barrier_impl() {
     View sv = View::synth(scratch_addr(rank_, 1), 4);
     View rv = View::synth(scratch_addr(rank_, 2), 4);
     Request rreq = co_await irecv_impl(rv, src, tag);
-    Request sreq = co_await isend_impl(sv, dst, tag, false);
+    Request sreq = co_await isend_impl(sv, dst, tag);
     const Status sst = co_await wait(sreq);
     const Status rst = co_await wait(rreq);
     if (sst.error != kErrNone || rst.error != kErrNone) err = kErrFabric;
@@ -87,7 +87,7 @@ sim::Task<int> Comm::bcast_p2p(View buf, Rank root, Tag tag) {
   while (mask > 0) {
     if (rel + mask < p) {
       const Rank dst = (rel + mask + root) % p;
-      Request r = co_await isend_impl(buf, dst, tag, false);
+      Request r = co_await isend_impl(buf, dst, tag);
       const Status st = co_await wait(r);
       if (st.error != kErrNone) err = kErrFabric;
     }
@@ -152,7 +152,7 @@ sim::Task<int> Comm::reduce_p2p(View buf, std::size_t count, Dtype dtype,
       }
     } else {
       const Rank dst = ((rel & ~mask) + root) % p;
-      Request r = co_await isend_impl(buf, dst, tag, false);
+      Request r = co_await isend_impl(buf, dst, tag);
       const Status st = co_await wait(r);
       if (st.error != kErrNone) err = kErrFabric;
       break;
@@ -261,7 +261,7 @@ sim::Task<void> Comm::alltoall_impl(View sendbuf, View recvbuf,
     const Rank dst = (rank_ + i) % p;
     reqs.push_back(co_await isend_impl(
         slice(sendbuf, static_cast<std::uint64_t>(dst) * per_rank, per_rank),
-        dst, tag, false));
+        dst, tag));
   }
   int err = kErrNone;
   for (auto& r : reqs) {
@@ -308,7 +308,7 @@ sim::Task<void> Comm::alltoallv_impl(
     if (send_counts[static_cast<std::size_t>(dst)] == 0) continue;
     reqs.push_back(co_await isend_impl(
         slice(sendbuf, soff[dst], send_counts[static_cast<std::size_t>(dst)]),
-        dst, tag, false));
+        dst, tag));
   }
   int err = kErrNone;
   for (auto& r : reqs) {
@@ -376,7 +376,7 @@ sim::Task<void> Comm::gather_impl(View sendpart, View recvbuf,
       if (st.error != kErrNone) err = kErrFabric;
     }
   } else {
-    Request r = co_await isend_impl(sendpart, root, tag, false);
+    Request r = co_await isend_impl(sendpart, root, tag);
     const Status st = co_await wait(r);
     if (st.error != kErrNone) err = kErrFabric;
   }
@@ -401,7 +401,7 @@ sim::Task<void> Comm::scatter_impl(View sendbuf, View recvpart,
       if (r == root) continue;
       reqs.push_back(co_await isend_impl(
           slice(sendbuf, static_cast<std::uint64_t>(r) * per_rank, per_rank),
-          r, tag, false));
+          r, tag));
     }
     for (auto& r : reqs) {
       const Status st = co_await wait(r);
@@ -435,7 +435,7 @@ sim::Task<void> Comm::reduce_scatter_block_impl(View buf,
     for (int r = 1; r < p; ++r) {
       reqs.push_back(co_await isend_impl(
           slice(buf, static_cast<std::uint64_t>(r) * per_bytes, per_bytes),
-          r, tag + 1, false));
+          r, tag + 1));
     }
     for (auto& r : reqs) {
       const Status st = co_await wait(r);
@@ -478,7 +478,7 @@ sim::Task<void> Comm::scan_impl(View buf, std::size_t count, Dtype dtype,
     reduce_payload(tmp, buf, count, dtype, op);
   }
   if (rank_ + 1 < p) {
-    Request r = co_await isend_impl(buf, rank_ + 1, tag, false);
+    Request r = co_await isend_impl(buf, rank_ + 1, tag);
     const Status st = co_await wait(r);
     if (st.error != kErrNone) err = kErrFabric;
   }
@@ -514,7 +514,7 @@ sim::Task<void> Comm::gatherv_impl(View sendpart, View recvbuf,
       if (st.error != kErrNone) err = kErrFabric;
     }
   } else if (counts[static_cast<std::size_t>(rank_)] > 0) {
-    Request r = co_await isend_impl(sendpart, root, tag, false);
+    Request r = co_await isend_impl(sendpart, root, tag);
     const Status st = co_await wait(r);
     if (st.error != kErrNone) err = kErrFabric;
   }
@@ -543,7 +543,7 @@ sim::Task<void> Comm::scatterv_impl(View sendbuf,
     for (int r = 0; r < p; ++r) {
       if (r == root || counts[r] == 0) continue;
       reqs.push_back(co_await isend_impl(
-          slice(sendbuf, off[r], counts[r]), r, tag, false));
+          slice(sendbuf, off[r], counts[r]), r, tag));
     }
     for (auto& r : reqs) {
       const Status st = co_await wait(r);
@@ -560,7 +560,7 @@ sim::Task<void> Comm::scatterv_impl(View sendbuf,
 sim::Task<Status> Comm::sendrecv_internal(View sendbuf, Rank dst, Tag stag,
                                           View recvbuf, Rank src, Tag rtag) {
   Request rreq = co_await irecv_impl(recvbuf, src, rtag);
-  Request sreq = co_await isend_impl(sendbuf, dst, stag, false);
+  Request sreq = co_await isend_impl(sendbuf, dst, stag);
   const Status sst = co_await wait(sreq);
   Status rst = co_await wait(rreq);
   // The exchange is one logical operation: a failed send leg errors the
@@ -598,7 +598,7 @@ sim::Task<int> Comm::agree_error(Tag tag, int err) {
         const Rank dst = rank_ & ~mask;
         View sv =
             View::synth(scratch_addr(rank_, 8), err == kErrNone ? 1 : 2);
-        Request r = co_await isend_impl(sv, dst, t, false);
+        Request r = co_await isend_impl(sv, dst, t);
         const Status st = co_await wait(r);
         if (st.error != kErrNone) err = kErrFabric;
         break;
@@ -624,7 +624,7 @@ sim::Task<int> Comm::agree_error(Tag tag, int err) {
         const Rank dst = rank_ + rmask;
         View sv =
             View::synth(scratch_addr(rank_, 10), err == kErrNone ? 1 : 2);
-        Request r = co_await isend_impl(sv, dst, t, false);
+        Request r = co_await isend_impl(sv, dst, t);
         const Status st = co_await wait(r);
         if (st.error != kErrNone) err = kErrFabric;
       }

@@ -80,7 +80,7 @@ View Comm::slice(const View& v, std::uint64_t offset, std::uint64_t len) {
 }
 
 sim::Task<Request> Comm::isend_impl(View buf, Rank dst, Tag tag,
-                                    bool nonblocking) {
+                                    bool synchronous) {
   if (dst < 0 || dst >= size()) throw std::invalid_argument("bad dest rank");
   buf = mpi_->canon(buf);
   auto& p = mpi_->proc(rank_);
@@ -92,7 +92,7 @@ sim::Task<Request> Comm::isend_impl(View buf, Rank dst, Tag tag,
   SendOp op;
   op.env = Envelope{rank_, dst, tag, buf.bytes()};
   op.buf = buf;
-  op.nonblocking = nonblocking;
+  op.synchronous = synchronous;
   op.req = req;
   co_await mpi_->device().start_send(std::move(op));
   co_return Request(req);
@@ -124,7 +124,7 @@ sim::Task<void> Comm::send(View buf, Rank dst, Tag tag) {
   const bool intra = mpi_->same_node(rank_, dst);
   mpi_->recorder().on_send(rank_, buf.bytes(), false, buf.addr(), intra);
   const double tt0 = wtime();
-  Request req = co_await isend_impl(buf, dst, tag, false);
+  Request req = co_await isend_impl(buf, dst, tag);
   co_await wait(std::move(req));
   trace(prof::EventKind::kSend, "Send", dst, buf.bytes(), tt0);
 }
@@ -144,7 +144,7 @@ sim::Task<Request> Comm::isend(View buf, Rank dst, Tag tag) {
   buf = mpi_->canon(buf);
   const bool intra = mpi_->same_node(rank_, dst);
   mpi_->recorder().on_send(rank_, buf.bytes(), true, buf.addr(), intra);
-  return isend_impl(buf, dst, tag, true);
+  return isend_impl(buf, dst, tag);
 }
 
 sim::Task<Request> Comm::irecv(View buf, Rank src, Tag tag) {
@@ -176,7 +176,7 @@ sim::Task<Status> Comm::sendrecv(View sendbuf, Rank dst, Tag stag,
   const bool intra = mpi_->same_node(rank_, dst);
   mpi_->recorder().on_send(rank_, sendbuf.bytes(), false, sendbuf.addr(),
                            intra);
-  Request sreq = co_await isend_impl(sendbuf, dst, stag, false);
+  Request sreq = co_await isend_impl(sendbuf, dst, stag);
   co_await wait(sreq);
   const Status st = co_await wait(rreq);
   // One interval event for the exchange; the receive leg is recorded as a
@@ -219,22 +219,8 @@ sim::Task<void> Comm::ssend(View buf, Rank dst, Tag tag) {
   buf = mpi_->canon(buf);
   const bool intra = mpi_->same_node(rank_, dst);
   mpi_->recorder().on_send(rank_, buf.bytes(), false, buf.addr(), intra);
-  auto& p = mpi_->proc(rank_);
-  Request ret;
-  {
-    sim::MpiScope scope(p.cpu());
-    p.drain_deferred();
-    auto req = std::make_shared<RequestState>(mpi_->engine(),
-                                            &mpi_->request_ledger());
-    SendOp op;
-    op.env = Envelope{rank_, dst, tag, buf.bytes()};
-    op.buf = buf;
-    op.synchronous = true;
-    op.req = req;
-    co_await mpi_->device().start_send(std::move(op));
-    ret = Request(req);
-  }
-  co_await wait(std::move(ret));
+  Request req = co_await isend_impl(buf, dst, tag, /*synchronous=*/true);
+  co_await wait(std::move(req));
 }
 
 Tag Comm::next_coll_tag() {

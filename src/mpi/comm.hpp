@@ -134,8 +134,9 @@ class Comm {
   sim::Task<void> gatherv_impl(View sendpart, View recvbuf, const std::vector<std::uint64_t>& counts, Rank root);
   sim::Task<void> scatterv_impl(View sendbuf, const std::vector<std::uint64_t>& counts, View recvpart, Rank root);
 
+  /// `synchronous`: MPI_Ssend semantics (see SendOp).
   sim::Task<Request> isend_impl(View buf, Rank dst, Tag tag,
-                                bool nonblocking);
+                                bool synchronous = false);
   sim::Task<Request> irecv_impl(View buf, Rank src, Tag tag);
   /// Subview helper for collective algorithms on real/synthetic buffers.
   static View slice(const View& v, std::uint64_t offset, std::uint64_t len);

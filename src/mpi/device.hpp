@@ -10,6 +10,7 @@
 #include <functional>
 #include <memory>
 
+#include "mpi/matcher.hpp"
 #include "mpi/request.hpp"
 #include "mpi/types.hpp"
 #include "sim/task.hpp"
@@ -19,11 +20,46 @@ namespace mns::mpi {
 struct SendOp {
   Envelope env;
   View buf;
-  bool nonblocking = false;
   /// MPI_Ssend semantics: complete only after the receiver matched.
   bool synchronous = false;
   std::shared_ptr<RequestState> req;
 };
+
+/// Completion Status of the message `env` describes.
+inline Status status_of(const Envelope& env) {
+  return Status{env.src, env.tag, env.bytes};
+}
+/// The same, failed: the fabric exhausted its recovery budget.
+inline Status error_status(const Envelope& env) {
+  return Status{env.src, env.tag, env.bytes, kErrFabric};
+}
+
+/// Cost of matching an arrival against `m`'s posted queue: MPICH (on the
+/// host) and the Elan (in NIC memory) walk it linearly, and every entry
+/// beyond the first costs `per_entry`.
+inline sim::Time match_scan_cost(const Matcher& m, sim::Time per_entry) {
+  const std::size_t posted = m.posted_count();
+  return posted > 1 ? per_entry * static_cast<std::int64_t>(posted - 1)
+                    : sim::Time::zero();
+}
+
+/// A transport failure's "error envelope": it goes through the receiver's
+/// matcher exactly as the lost message would have, so a posted (or
+/// future) receive completes with Status::error == kErrFabric instead of
+/// waiting forever. Callers gate and charge it as their arrivals are.
+inline void deliver_error_envelope(Matcher& matcher, const Envelope& env) {
+  if (auto pr = matcher.match_arrival(env)) {
+    pr->req->complete(error_status(env));
+    return;
+  }
+  matcher.add_unexpected(
+      // simcheck-allow: coro-ref-escape (closure owned by the Unexpected
+      // that Comm::irecv_impl's frame holds across co_await claim)
+      {env, [env](PostedRecv pr) -> sim::Task<void> {
+         pr.req->complete(error_status(env));
+         co_return;
+       }});
+}
 
 class Device {
  public:

@@ -41,7 +41,6 @@ class Proc {
       fn();
     } else {
       deferred_.push_back(std::move(fn));
-      ++deferred_total_;
     }
   }
 
@@ -55,7 +54,6 @@ class Proc {
     }
   }
 
-  std::uint64_t deferred_total() const { return deferred_total_; }
   std::size_t deferred_pending() const { return deferred_.size(); }
 
  private:
@@ -66,7 +64,6 @@ class Proc {
   int node_;
   int slot_;
   std::deque<std::function<void()>> deferred_;
-  std::uint64_t deferred_total_ = 0;
 };
 
 }  // namespace mns::mpi

@@ -1,9 +1,11 @@
 // Core MPI-facing types.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <vector>
 
 namespace mns::mpi {
 
@@ -121,6 +123,28 @@ inline void copy_payload(const View& src, const View& dst,
                          std::uint64_t bytes) {
   if (src.synthetic() || dst.synthetic() || bytes == 0) return;
   std::memcpy(dst.data(), src.data(), static_cast<std::size_t>(bytes));
+}
+
+/// A sender's bytes buffered between send and receive (eager staging, a
+/// shm ring slot, the Elan system buffer), so the sender may reuse its
+/// view before delivery. Empty for synthetic or zero-length views.
+using Payload = std::vector<std::byte>;
+
+/// Buffer `src`'s bytes into `out`; leaves `out` alone for synthetic or
+/// zero-length views.
+inline void capture_payload(const View& src, Payload& out) {
+  if (!src.synthetic() && src.bytes() > 0) {
+    out.assign(src.data(), src.data() + src.bytes());
+  }
+}
+
+/// Copy a buffered payload out into a receive buffer: the message's
+/// `bytes`, truncated to the buffer. No-op when either side is empty.
+inline void copy_buffered(const Payload& src, const View& dst,
+                          std::uint64_t bytes) {
+  if (dst.synthetic() || src.empty()) return;
+  std::memcpy(dst.data(), src.data(),
+              static_cast<std::size_t>(std::min(bytes, dst.bytes())));
 }
 
 /// Message envelope used for matching.
